@@ -54,9 +54,8 @@ def _materialize(space) -> FiniteSpace:
     if isinstance(space, FiniteSpace):
         return space
     pts = space.points()  # DomainError if there is no finite enumeration
-    vals = list(pts)
-    m = np.array([[space.d(x, y) for y in vals] for x in vals])
-    return FiniteSpace(labels=tuple(vals), dist=m)
+    v = np.asarray(pts)
+    return FiniteSpace(labels=pts, dist=space.dist_rule(v[:, None], v[None, :]))
 
 
 def _builder_params(args) -> dict:
@@ -69,12 +68,15 @@ def _builder_params(args) -> dict:
 
 
 def _load_input(args):
-    """Resolve --input/--example to (space, witness, map, origin string)."""
+    """Resolve --input/--example to (space, witness, map, phi, origin string).
+
+    phi is the example's altering distance; files carry none.
+    """
     if getattr(args, "input", None):
         space, witness, T = load_space_file(args.input)
-        return space, witness, T, args.input
+        return space, witness, T, None, args.input
     ex = corpus.build_example(args.example, **_builder_params(args))
-    return ex.space, ex.witness, ex.map, ex.id
+    return ex.space, ex.witness, ex.map, ex.phi, ex.id
 
 
 def _parse_point(text: str, space):
@@ -123,7 +125,7 @@ def _resolve_witness(args, file_witness) -> Witness:
 
 
 def cmd_verify(args) -> int:
-    space, file_witness, _, origin = _load_input(args)
+    space, file_witness, _, _, origin = _load_input(args)
     space = _materialize(space)
     witness = _resolve_witness(args, file_witness)
     reports = check_identity_symmetry(space, margin=args.margin)
@@ -155,7 +157,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_min_alpha(args) -> int:
-    space, _, _, origin = _load_input(args)
+    space, _, _, _, origin = _load_input(args)
     space = _materialize(space)
     f = lookup_function(args.f, "generator")
     value = min_alpha(space, f)
@@ -173,7 +175,7 @@ def cmd_min_alpha(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    space, _, T, origin = _load_input(args)
+    space, _, T, _, origin = _load_input(args)
     if T is None:
         raise DomainError(f"{origin} carries no map; solve needs one")
     x0 = _parse_point(args.x0, space)
@@ -202,15 +204,12 @@ def _make_sample(args, space) -> conditions.PairSample:
 
 
 def cmd_check(args) -> int:
-    space, _, T, origin = _load_input(args)
+    space, _, T, ex_phi, origin = _load_input(args)
     if T is None:
         raise DomainError(f"{origin} carries no map; check needs one")
     if args.phi is not None:
         phi = lookup_function(args.phi, "altering")
     else:
-        ex_phi = None
-        if getattr(args, "example", None):
-            ex_phi = corpus.build_example(args.example, **_builder_params(args)).phi
         phi = ex_phi or lookup_function("id", "altering")
     if args.condition == "edelstein":
         rep = conditions.edelstein_check(space, T, phi, _make_sample(args, space))

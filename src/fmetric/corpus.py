@@ -146,7 +146,9 @@ def sequence_space(N: int = 1000) -> NamedExample:
         raise ValueError("need N >= 3")
 
     def dist(i, j):
-        return 0.0 if i == j else 1.0 + abs(1.0 / i - 1.0 / j)
+        # multiplying by the bool keeps one expression for scalars and
+        # arrays; it is exact, so both give the same bits
+        return (1.0 + abs(1.0 / i - 1.0 / j)) * (i != j)
 
     space = AnalyticSpace(
         point_kind="basis_index",

@@ -81,6 +81,9 @@ class AnalyticSpace:
 
     point_kind is 'real' (points are floats, bounds give the sampling
     interval) or 'basis_index' (points are positive integers).
+    dist_rule must also work elementwise on numpy arrays of points,
+    broadcasting like a ufunc: the condition checkers and
+    materialization call it once on whole arrays.
     enumerate_points, when present, yields a finite truncation used by
     carrier scans and all-pairs sampling.
     """
@@ -122,31 +125,27 @@ def check_identity_symmetry(space: FiniteSpace, margin: float = 0.0):
 
     Returns two reports: one for the identity axiom (zero diagonal and
     strictly positive off-diagonal), one for symmetry. margin loosens
-    every comparison for noisy inputs.
+    every comparison for noisy inputs. Violations are listed diagonal
+    first, then in row-major order.
     """
     m = space.dist
-    n = space.n
-    id_viol = []
-    for i in range(n):
-        if abs(m[i, i]) > margin:
-            id_viol.append(((space.labels[i], space.labels[i]), float(m[i, i]), 0.0))
-    for i in range(n):
-        for j in range(n):
-            if i != j and m[i, j] <= margin:
-                id_viol.append(((space.labels[i], space.labels[j]), float(m[i, j]), 0.0))
-    sym_viol = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(m[i, j] - m[j, i]) > margin:
-                sym_viol.append(((space.labels[i], space.labels[j]), float(m[i, j]), float(m[j, i])))
+    lab = space.labels
+    diag = np.flatnonzero(np.abs(np.diagonal(m)) > margin)
+    off_i, off_j = np.nonzero((m <= margin) & ~np.eye(space.n, dtype=bool))
+    id_viol = [((lab[i], lab[i]), float(m[i, i]), 0.0) for i in diag]
+    id_viol += [((lab[i], lab[j]), float(m[i, j]), 0.0) for i, j in zip(off_i, off_j)]
+    sym_i, sym_j = np.nonzero(np.triu(np.abs(m - m.T) > margin, 1))
+    sym_viol = [
+        ((lab[i], lab[j]), float(m[i, j]), float(m[j, i])) for i, j in zip(sym_i, sym_j)
+    ]
     return [
         VerificationReport(axiom="D1", passed=not id_viol, violations=id_viol),
         VerificationReport(axiom="D2", passed=not sym_viol, violations=sym_viol),
     ]
 
 
-def _require_identity_symmetry(space: FiniteSpace):
-    reports = check_identity_symmetry(space)
+def _require_identity_symmetry(space: FiniteSpace, margin: float):
+    reports = check_identity_symmetry(space, margin)
     bad = [r for r in reports if not r.passed]
     if bad:
         first = bad[0]
@@ -155,20 +154,21 @@ def _require_identity_symmetry(space: FiniteSpace):
         )
 
 
-def min_chain_sums(space: FiniteSpace) -> np.ndarray:
+def min_chain_sums(space: FiniteSpace, margin: float = 0.0) -> np.ndarray:
     """Minimal chain-link sums between all pairs.
 
     sp[i][j] <= dist[i][j] always, sp[i][i] = 0, and no chain with
     repeated points can beat the best simple chain, so relaxation over
-    at most n-2 sweeps is exact (see _kernels.minplus_closure).
+    at most n-2 sweeps is exact (see _kernels.minplus_closure). The
+    identity and symmetry axioms must hold first, within margin.
     """
-    _require_identity_symmetry(space)
+    _require_identity_symmetry(space, margin)
     return minplus_closure(space.dist)
 
 
-def _d3_slack(space: FiniteSpace, f: FGenerator):
+def _d3_slack(space: FiniteSpace, f: FGenerator, margin: float = 0.0):
     """Off-diagonal slack matrix f(dist) - f(min chain sum)."""
-    sp = min_chain_sums(space)
+    sp = min_chain_sums(space, margin)
     n = space.n
     off = ~np.eye(n, dtype=bool)
     fd = np.zeros_like(space.dist)
@@ -185,7 +185,7 @@ def verify_D3(space: FiniteSpace, w: Witness, margin: float = 0.0) -> Verificati
     (+ margin). Evaluating the slack with the same float subtraction
     used by min_alpha makes the two operations exactly consistent.
     """
-    slack, sp, off = _d3_slack(space, w.f)
+    slack, sp, off = _d3_slack(space, w.f, margin)
     violations = []
     n = space.n
     for i in range(n):

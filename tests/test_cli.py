@@ -267,3 +267,67 @@ def test_usage_errors_exit_2(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["verify", "--help"]) == 0
+
+
+def test_verify_margin_reaches_the_closure(capsys, tmp_path):
+    # asymmetric by 1e-10: --margin 1e-6 accepts D2, and the closure behind
+    # D3 must apply the same margin instead of rejecting the table again
+    p = tmp_path / "asym.json"
+    p.write_text(json.dumps({
+        "points": ["a", "b", "c"],
+        "matrix": [[0, 1, 1], [1 + 1e-10, 0, 1], [1, 1, 0]],
+    }))
+    code, out, err = run(
+        capsys, "verify", "--input", str(p), "--f", "ln", "--alpha", "0", "--margin", "1e-6",
+    )
+    assert err == ""
+    assert code == 0
+    assert "D2 symmetry: pass" in out
+    assert "D3 chain inequality (f=ln, alpha=0): pass" in out
+
+
+def test_check_map_error_names_first_failing_point_in_pair_order(capsys, tmp_path):
+    # x -> 2x leaves {0, 1, 2, 3} at 2 and at 3; the grid reaches 2 first
+    p = tmp_path / "line.json"
+    p.write_text(json.dumps({
+        "points": [0, 1, 2, 3],
+        "matrix": [[abs(i - j) for j in range(4)] for i in range(4)],
+        "map": {"affine": [2, 0]},
+    }))
+    code, _, err = run(capsys, "check", "edelstein", "--input", str(p), "--pairs", "6")
+    assert code == 2
+    assert "affine image 4.0 of 2" in err
+
+
+def test_check_builds_the_example_once_and_uses_its_phi(capsys, monkeypatch):
+    from fmetric import corpus
+
+    built = []
+    original = corpus.build_example
+
+    def counting(example_id, **params):
+        built.append(example_id)
+        return original(example_id, **params)
+
+    monkeypatch.setattr(corpus, "build_example", counting)
+    code, out, _ = run(
+        capsys, "check", "edelstein", "--example", "interval-halving", "--pairs", "10",
+        "--output", "structured",
+    )
+    assert code == 0
+    assert json.loads(out)["condition"] == "edelstein(square)"
+    assert built == ["interval-halving"]
+
+
+def test_materialize_matches_scalar_distances_bitwise():
+    import numpy as np
+
+    from fmetric import sequence_space
+    from fmetric.cli import _materialize
+
+    space = sequence_space(N=40).space
+    pts = space.points()
+    want = np.array([[space.d(x, y) for y in pts] for x in pts])
+    got = _materialize(space)
+    assert got.labels == pts
+    assert got.dist.tobytes() == want.tobytes()

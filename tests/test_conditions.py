@@ -1,20 +1,25 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
 from fmetric import (
+    ConditionReport,
     DomainError,
     PairSample,
     all_pairs,
+    apply_map,
     edelstein_check,
     grid_pairs,
     interval_halving,
     kannan_check,
     lookup_function,
+    orbit,
     orbital_kannan_check,
     oscillating_orbit_space,
     random_pairs,
+    rect_b_family,
     sequence_space,
     shift_condition_check,
 )
@@ -221,3 +226,106 @@ def test_reports_carry_provenance():
     d = rep.to_dict()
     assert d["condition"] == "edelstein(square)"
     assert d["passed"] is True
+
+
+# --- array checkers against a pair-by-pair scalar reference -------------------
+
+def _scalar_pairwise(condition, space, T, phi, pairs, source, kannan, index=None):
+    """Reference: one pair at a time through apply_map, space.d and scalar phi."""
+    violations = []
+    margin = math.inf
+    checked = 0
+    for k, (x, y) in enumerate(pairs):
+        tx, ty = apply_map(space, T, x), apply_map(space, T, y)
+        lhs = float(phi.eval(space.d(tx, ty)))
+        if kannan:
+            rhs = 0.5 * (float(phi.eval(space.d(x, tx))) + float(phi.eval(space.d(y, ty))))
+        else:
+            rhs = float(phi.eval(space.d(x, y)))
+        checked += 1
+        margin = min(margin, rhs - lhs)
+        if not (lhs < rhs):
+            tag = {"pair": (x, y)} if index is None else {"pair": (x, y), "index": index[k]}
+            violations.append({**tag, "lhs": lhs, "rhs": rhs})
+    return ConditionReport(
+        condition=condition, passed=not violations, checked=checked,
+        violations=violations, margin_min=margin, source=source,
+    )
+
+
+def _rect_b_rotation():
+    """rect-b carries no map; rotate its mixed int/str labels one step."""
+    space = rect_b_family(5)
+    labels = space.labels
+    step = dict(zip(labels, labels[1:] + labels[:1]))
+    return space, step.__getitem__, lookup_function("sqrt", "altering")
+
+
+def _parity_case(example):
+    if example == "rect-b":
+        return _rect_b_rotation()
+    ex = {
+        "interval-halving": interval_halving,
+        "oscillating-orbit": lambda: oscillating_orbit_space(depth=30),
+        "sequence-space": lambda: sequence_space(N=40),
+    }[example]()
+    return ex.space, ex.map, ex.phi
+
+
+SAMPLERS = {
+    "all_pairs": all_pairs,
+    "grid": lambda space: grid_pairs(space, 150),
+    "random": lambda space: random_pairs(space, 400, seed=5),
+}
+
+
+@pytest.mark.parametrize("kannan", [False, True], ids=["edelstein", "kannan"])
+@pytest.mark.parametrize("sampler", list(SAMPLERS))
+@pytest.mark.parametrize(
+    "example", ["interval-halving", "oscillating-orbit", "sequence-space", "rect-b"]
+)
+def test_array_checkers_match_scalar_reference(example, sampler, kannan):
+    space, T, phi = _parity_case(example)
+    if example == "interval-halving" and sampler == "all_pairs":
+        with pytest.raises(DomainError):  # a real interval has no finite enumeration
+            all_pairs(space)
+        return
+    sample = SAMPLERS[sampler](space)
+    check = kannan_check if kannan else edelstein_check
+    got = check(space, T, phi, sample)
+    name = f"{'kannan' if kannan else 'edelstein'}({phi.name})"
+    want = _scalar_pairwise(name, space, T, phi, sample.pairs, sample.source, kannan)
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    if example == "oscillating-orbit" and sampler == "all_pairs":
+        assert any(v["lhs"] == v["rhs"] for v in got.violations)  # ties are violations
+
+
+@pytest.mark.parametrize("x0", [2.0 + 1.0 / 3.0, 2.0, -2.0])
+def test_orbital_kannan_matches_scalar_reference(x0):
+    ex = oscillating_orbit_space(depth=30)
+    count = 80  # long enough to wrap onto the 2-cycle, where pairs tie
+    got = orbital_kannan_check(ex.space, ex.map, ID, x0, count)
+    tr = orbit(ex.space, ex.map, x0, count + 1)
+    index = [k for k in range(count) if tr.step_dist[k] != 0.0]
+    pairs = [(tr.points[k], tr.points[k + 1]) for k in index]
+    want = _scalar_pairwise(
+        "orbital_kannan(id)", ex.space, ex.map, ID, pairs,
+        f"orbit(x0={x0!r}, pairs={count})", kannan=True, index=index,
+    )
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    if x0 == 2.0:
+        assert got.violations and got.violations[0]["index"] == 0
+
+
+def test_pairwise_checks_map_each_distinct_point_once_in_pair_order():
+    ex = oscillating_orbit_space(depth=10)
+    calls = []
+
+    def T(x):
+        calls.append(x)
+        return ex.map(x)
+
+    sample = random_pairs(ex.space, 300, seed=2)
+    kannan_check(ex.space, T, ID, sample)
+    seen = list(dict.fromkeys(p for pair in sample.pairs for p in pair))
+    assert calls == seen

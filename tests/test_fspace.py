@@ -240,3 +240,32 @@ def test_analytic_space_membership_and_points():
     assert line.d(0.25, 0.75) == 0.5
     with pytest.raises(DomainError):
         line.points()
+
+
+def _loop_identity_symmetry(space, margin):
+    """Entry-by-entry reference for check_identity_symmetry."""
+    m, n, lab = space.dist, space.n, space.labels
+    id_viol = [((lab[i], lab[i]), float(m[i, i]), 0.0) for i in range(n) if abs(m[i, i]) > margin]
+    id_viol += [
+        ((lab[i], lab[j]), float(m[i, j]), 0.0)
+        for i in range(n) for j in range(n) if i != j and m[i, j] <= margin
+    ]
+    sym_viol = [
+        ((lab[i], lab[j]), float(m[i, j]), float(m[j, i]))
+        for i in range(n) for j in range(i + 1, n) if abs(m[i, j] - m[j, i]) > margin
+    ]
+    return id_viol, sym_viol
+
+
+@pytest.mark.parametrize("margin", [0.0, 0.05])
+def test_identity_symmetry_matches_loop_reference_in_order(margin):
+    rng = np.random.default_rng(11)
+    n = 9
+    m = rng.uniform(-0.1, 1.0, (n, n))  # noisy diagonal, small and negative entries, asymmetry
+    labels = tuple(f"p{k}" for k in range(n))
+    space = FiniteSpace(labels=labels, dist=m)
+    d1, d2 = check_identity_symmetry(space, margin=margin)
+    id_viol, sym_viol = _loop_identity_symmetry(space, margin)
+    assert len(id_viol) > n and sym_viol
+    assert d1.violations == id_viol and d2.violations == sym_viol
+    assert not d1.passed and not d2.passed
