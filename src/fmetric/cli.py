@@ -54,8 +54,8 @@ def _materialize(space) -> FiniteSpace:
     if isinstance(space, FiniteSpace):
         return space
     pts = space.points()  # DomainError if there is no finite enumeration
-    v = np.asarray(pts)
-    return FiniteSpace(labels=pts, dist=space.dist_rule(v[:, None], v[None, :]))
+    v = space.as_array(pts)
+    return FiniteSpace(labels=pts, dist=space.d(v[:, None], v[None, :]))
 
 
 def _builder_params(args) -> dict:

@@ -6,13 +6,15 @@ rhs - lhs margin so near-ties are visible.
 
 The pairwise checks run on whole arrays: the map is applied once per
 distinct sample point, distances are one gather from the matrix of a
-finite space (or one call of an analytic space's distance rule on
-arrays), and phi is evaluated once per array. Each float operation is
-the one a pair-by-pair evaluation would make, so reports are identical
-to it bit for bit.
+finite space (or one call of an analytic space's d on arrays), and phi
+is evaluated once per array. Each float operation is the one a
+pair-by-pair evaluation would make, so reports are identical to it bit
+for bit, and a failing map or a negative distance raises the error that
+evaluation would meet first.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -105,13 +107,16 @@ def _map_distinct(space, T, pairs):
     """Apply T once per distinct sample point, in pair order (x0, y0, x1, y1, ...),
     so the first DomainError names the same point a pair-by-pair pass would.
 
-    Returns (where, u, tu, dist): where[k] is the rank among the distinct
-    points u of the point at flat position k, tu holds their images, and
-    dist(a, b) gives distances elementwise. On a FiniteSpace points are
-    coded as carrier indices and dist gathers from the matrix; otherwise
-    they are numbers and dist is the space's closed-form rule. The dict
-    of distinct points dies on return, before the per-pair arrays are
-    built, which keeps peak memory near that of the sample itself.
+    Returns (where, u, tu, dist, failure): where[k] is the rank among the
+    distinct points u of the point at flat position k, tu holds their
+    images, and dist(a, b) gives distances elementwise. On a FiniteSpace
+    points are coded as carrier indices and dist gathers from the
+    matrix; otherwise they are arrays of points and dist is the space's
+    d. If T fails at a point, failure is that DomainError and where keeps
+    only the pairs before the one where that point first appears, the
+    pairs a pair-by-pair pass would have finished. The dict of distinct
+    points dies on return, before the per-pair arrays are built, which
+    keeps peak memory near that of the sample itself.
     """
     distinct = {}  # point -> rank of its first appearance
     where = np.fromiter(
@@ -121,32 +126,62 @@ def _map_distinct(space, T, pairs):
     )
     if isinstance(space, FiniteSpace):
         def code(points):
-            return np.fromiter(map(space.index, points), dtype=np.intp, count=len(distinct))
+            return np.fromiter(map(space.index, points), dtype=np.intp)
 
         def dist(a, b):
             return space.dist[a, b]
     else:
-        kind = float if space.point_kind == "real" else int
+        code, dist = space.as_array, space.d
+    failure = []
 
-        def code(points):
-            return np.fromiter(points, dtype=kind, count=len(distinct))
+    def images():
+        for p in distinct:
+            try:
+                yield apply_map(space, T, p)
+            except DomainError as exc:
+                failure.append(exc)
+                return
 
-        def dist(a, b):
-            return np.asarray(space.dist_rule(a, b), dtype=float)
-    tu = code(apply_map(space, T, p) for p in distinct)
-    return where, code(distinct), tu, dist
+    tu = code(images())
+    if failure:
+        first = int(np.flatnonzero(where == tu.size)[0])
+        where = where[: first - first % 2]
+    u = code(itertools.islice(distinct, tu.size))
+    return where, u, tu, dist, failure[0] if failure else None
+
+
+def _raise_first_negative(phi, sides):
+    """Let phi reject the first negative distance in the order a pair-by-pair
+    pass evaluates them: pair by pair, and within a pair side by side."""
+    if any(np.any(s < 0) for s in sides):
+        stacked = np.column_stack(sides)
+        phi.eval(float(stacked[stacked < 0][0]))
 
 
 def _pair_sides(space, T, phi, pairs, kannan: bool):
-    """lhs and rhs arrays of the Edelstein or Kannan inequality, one entry per pair."""
-    where, u, tu, dist = _map_distinct(space, T, pairs)
+    """lhs and rhs arrays of the Edelstein or Kannan inequality, one entry per pair.
+
+    Errors come out as from a pair-by-pair pass, which maps x and y, then
+    takes phi of d(Tx, Ty) and of d(x, y) (Kannan: d(x, Tx), d(y, Ty))
+    before it maps the next pair.
+    """
+    where, u, tu, dist, failure = _map_distinct(space, T, pairs)
     wx, wy = where[0::2], where[1::2]
-    lhs = phi.eval(dist(tu[wx], tu[wy]))
+    image_d = dist(tu[wx], tu[wy])
     if kannan:
-        disp = phi.eval(dist(u, tu))  # phi(d(u, Tu)) once per distinct u
-        rhs = 0.5 * (disp[wx] + disp[wy])
+        disp = dist(u, tu)  # d(u, Tu) once per distinct u
+        _raise_first_negative(phi, (image_d, disp[wx], disp[wy]))
     else:
-        rhs = phi.eval(dist(u[wx], u[wy]))
+        pair_d = dist(u[wx], u[wy])
+        _raise_first_negative(phi, (image_d, pair_d))
+    if failure is not None:
+        raise failure
+    lhs = phi.eval(image_d)
+    if kannan:
+        phi_disp = phi.eval(disp)
+        rhs = 0.5 * (phi_disp[wx] + phi_disp[wy])
+    else:
+        rhs = phi.eval(pair_d)
     return lhs, rhs
 
 

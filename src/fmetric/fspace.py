@@ -82,8 +82,9 @@ class AnalyticSpace:
     point_kind is 'real' (points are floats, bounds give the sampling
     interval) or 'basis_index' (points are positive integers).
     dist_rule must also work elementwise on numpy arrays of points,
-    broadcasting like a ufunc: the condition checkers and
-    materialization call it once on whole arrays.
+    broadcasting like a ufunc: d passes arrays from as_array straight
+    to it, and the condition checkers and materialization call d once
+    on whole arrays.
     enumerate_points, when present, yields a finite truncation used by
     carrier scans and all-pairs sampling.
     """
@@ -94,8 +95,23 @@ class AnalyticSpace:
     enumerator: Optional[Callable[[], Sequence]] = field(default=None, repr=False)
     bounds: Optional[tuple] = None
 
-    def d(self, x, y) -> float:
-        return float(self.dist_rule(x, y))
+    def d(self, x, y):
+        """d(x, y) as a float, or elementwise as a float array when the
+        rule returns an array."""
+        r = self.dist_rule(x, y)
+        return np.asarray(r, dtype=float) if isinstance(r, np.ndarray) else float(r)
+
+    def as_array(self, points) -> np.ndarray:
+        """Points as an array for d: floats, or basis indices as int64
+        when every index fits and as Python ints (object array) when
+        one does not, so indices of any size keep exact arithmetic."""
+        if self.point_kind == "real":
+            return np.fromiter(points, dtype=float)
+        points = list(points)
+        try:
+            return np.array(points, dtype=np.int64)
+        except OverflowError:
+            return np.array(points, dtype=object)
 
     def points(self) -> tuple:
         if self.enumerator is None:

@@ -331,3 +331,12 @@ def test_materialize_matches_scalar_distances_bitwise():
     got = _materialize(space)
     assert got.labels == pts
     assert got.dist.tobytes() == want.tobytes()
+
+
+def test_check_orbital_kannan_on_sequence_space_past_int64(capsys):
+    # the orbit of T(i) = 3i from 1 leaves the int64 range at step 40; the
+    # report still covers all 200 pairs (167 of them float ties)
+    code, out, err = run(capsys, "check", "orbital-kannan", "--example", "sequence-space", "--x0", "1")
+    assert (code, err) == (1, "")
+    assert "checked: 200" in out
+    assert "... and 162 more" in out

@@ -2,11 +2,13 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fmetric import (
     ConditionReport,
     DomainError,
+    FiniteSpace,
     PairSample,
     all_pairs,
     apply_map,
@@ -329,3 +331,50 @@ def test_pairwise_checks_map_each_distinct_point_once_in_pair_order():
     kannan_check(ex.space, T, ID, sample)
     seen = list(dict.fromkeys(p for pair in sample.pairs for p in pair))
     assert calls == seen
+
+
+def test_orbital_kannan_on_indices_past_int64_matches_scalar_reference():
+    # the orbit 1, 3, 9, ... of T(i) = 3i passes 2**63 at step 40; from
+    # step 33 on both sides round to 1.0, so those pairs tie
+    ex = sequence_space(N=40)
+    count = 200
+    got = orbital_kannan_check(ex.space, ex.map, ID, 1, count)
+    tr = orbit(ex.space, ex.map, 1, count + 1)
+    pairs = [(tr.points[k], tr.points[k + 1]) for k in range(count)]
+    want = _scalar_pairwise(
+        "orbital_kannan(id)", ex.space, ex.map, ID, pairs,
+        f"orbit(x0=1, pairs={count})", kannan=True, index=list(range(count)),
+    )
+    assert got.checked == count and got.violations[0]["index"] == 33
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
+def _negative_line():
+    """Points 0..4 at distance |i - j|, except d(0, 1) = -0.5 and d(2, 3) = -3;
+    the map x -> x + 1 is undefined at 4."""
+    m = np.abs(np.subtract.outer(np.arange(5.0), np.arange(5.0)))
+    m[0, 1] = m[1, 0] = -0.5
+    m[2, 3] = m[3, 2] = -3.0
+    return FiniteSpace(labels=tuple(range(5)), dist=m), {0: 1, 1: 2, 2: 3, 3: 4}.__getitem__
+
+
+@pytest.mark.parametrize(
+    "kannan, pairs",
+    [
+        (False, [(1, 3), (0, 1), (1, 2)]),  # first negative -0.5, not the smallest -3
+        (False, [(0, 1), (3, 4)]),  # a negative distance before the map fails
+        (False, [(3, 4), (0, 1)]),  # the map fails before a negative distance
+        (False, [(1, 3), (2, 4), (0, 1)]),  # the map fails at y of the second pair
+        (True, [(1, 3), (0, 2)]),  # d(x, Tx) = -0.5 comes before d(y, Ty) = -3
+        (True, [(0, 2), (3, 4)]),
+    ],
+)
+def test_errors_match_the_pair_by_pair_order(kannan, pairs):
+    space, T = _negative_line()
+    sample = PairSample(tuple(pairs), "explicit")
+    check = kannan_check if kannan else edelstein_check
+    with pytest.raises(DomainError) as got:
+        check(space, T, ID, sample)
+    with pytest.raises(DomainError) as want:
+        _scalar_pairwise("", space, T, ID, pairs, "", kannan)
+    assert str(got.value) == str(want.value)
