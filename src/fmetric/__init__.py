@@ -8,7 +8,6 @@ explicit matrices, computes the smallest admissible alpha, runs
 fixed-point iteration with cycle detection, and tests contraction-style
 conditions on bundled and user-supplied spaces.
 """
-from ._kernels import active_backend, set_backend, warmup
 from .conditions import (
     PairSample,
     all_pairs,
@@ -101,7 +100,6 @@ __all__ = [
     "VerificationReport",
     "Witness",
     "accumulation_points",
-    "active_backend",
     "all_pairs",
     "alpha_divergence_profile",
     "apply_map",
@@ -135,8 +133,6 @@ __all__ = [
     "registered_generators",
     "reproduce",
     "sequence_space",
-    "set_backend",
     "verify_D3",
-    "warmup",
     "load_space_file",
 ]

@@ -1,107 +1,57 @@
-"""Numeric kernels with a numba fast path and a pure-numpy fallback.
+"""The min-plus closure: minimal left-to-right chain sums by in-place relaxation.
 
-The backend is chosen once at import: numba when importable, unless the
-FMETRIC_NO_NUMBA environment variable is set to a truthy value. Both
-paths perform the identical float operations (one add per candidate, an
-exact elementwise min), so their outputs are bitwise equal; tests assert
-that. set_backend() exists for benchmarks and tests.
+Every candidate is one rounded add, sp[i, k] + dist[k, j], that extends a
+chain by a single edge on the right, and the elementwise min is exact, so
+each value held is a left-to-right rounded chain sum. Rounded addition is
+monotone, so on a table with nonnegative entries the relaxation has a
+single fixpoint, the smallest such sum over all chains; any order of
+relaxation that reaches it gives the same bits.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    njit = None
-    HAS_NUMBA = False
+def relax_sweep(sp: np.ndarray, dist: np.ndarray, order) -> None:
+    """One in-place sweep: for each pivot k in order, sp[i, j] becomes
+    min(sp[i, j], sp[i, k] + dist[k, j]).
 
-
-def _resolve_backend(env: str | None, has_numba: bool = HAS_NUMBA) -> str:
-    if env is not None and env.strip().lower() not in ("", "0", "false", "no"):
-        return "numpy"
-    return "numba" if has_numba else "numpy"
-
-
-def relax_sweep_numpy(sp: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """One relaxation sweep: out[i,j] = min(sp[i,j], min_k sp[i,k] + dist[k,j]).
-
-    Extends candidate chains by a single edge on the right, so every
-    candidate value is a left-to-right associated sum of edge weights.
+    Pivots later in the order already see the rows lowered by earlier
+    ones, so a chain whose points come in pivot order is followed to its
+    end in a single sweep.
     """
-    out = sp.copy()
-    n = sp.shape[0]
-    for k in range(n):
-        np.minimum(out, sp[:, k : k + 1] + dist[k : k + 1, :], out=out)
-    return out
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _relax_sweep_jit(sp, dist):  # pragma: no cover - compiled
-        n = sp.shape[0]
-        out = np.empty_like(sp)
-        for i in range(n):
-            for j in range(n):
-                best = sp[i, j]
-                for k in range(n):
-                    v = sp[i, k] + dist[k, j]
-                    if v < best:
-                        best = v
-                out[i, j] = best
-        return out
-
-    def relax_sweep_numba(sp: np.ndarray, dist: np.ndarray) -> np.ndarray:
-        return _relax_sweep_jit(np.ascontiguousarray(sp), np.ascontiguousarray(dist))
-
-else:
-    relax_sweep_numba = relax_sweep_numpy
-
-_BACKENDS = {"numpy": relax_sweep_numpy, "numba": relax_sweep_numba}
-_active = _resolve_backend(os.environ.get("FMETRIC_NO_NUMBA"))
-
-
-def active_backend() -> str:
-    return _active
-
-
-def set_backend(name: str) -> None:
-    global _active
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}, expected 'numba' or 'numpy'")
-    if name == "numba" and not HAS_NUMBA:
-        raise ValueError("numba backend requested but numba is not installed")
-    _active = name
-
-
-def relax_sweep(sp: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    return _BACKENDS[_active](sp, dist)
+    for k in order:
+        np.minimum(sp, sp[:, k : k + 1] + dist[k : k + 1, :], out=sp)
 
 
 def minplus_closure(dist: np.ndarray) -> np.ndarray:
-    """All-pairs minimal chain sums by repeated one-edge relaxation.
+    """All-pairs minimal chain sums of a table with nonnegative entries.
 
-    Simple chains through n points use at most n-1 edges, so n-2 sweeps
-    reach the fixpoint; longer walks can never round below a simple
-    chain (appending a nonnegative edge never decreases a rounded sum).
-    Converges in one sweep on a true metric.
+    Row i only ever reads row i and dist, so every row is a separate
+    single-source relaxation: a sweep that leaves a row unchanged leaves
+    it at its fixpoint, and later sweeps relax only the rows that the
+    previous sweep changed. The pivot order alternates between ascending
+    and descending, so chains through points in either index order
+    advance to their end within a sweep. A table that no chain shortens,
+    such as a metric free of rounding shortcuts, takes one sweep; a
+    collinear metric, where rounding makes long chains beat direct
+    distances by an ulp, takes a few.
+
+    Simple chains through n points use at most n-1 edges and longer walks
+    never round below them (appending a nonnegative edge never decreases
+    a rounded sum), so n-2 sweeps always reach the fixpoint.
     """
     sp = dist.copy()
     n = dist.shape[0]
+    rows = np.arange(n)
+    order = range(n)
     for _ in range(max(0, n - 2)):
-        new = relax_sweep(sp, dist)
-        if np.array_equal(new, sp):
+        block = sp[rows]
+        relax_sweep(block, dist, order)
+        changed = (block != sp[rows]).any(axis=1)
+        sp[rows] = block
+        rows = rows[changed]
+        if rows.size == 0:
             break
-        sp = new
+        order = order[::-1]
     return sp
-
-
-def warmup() -> None:
-    """Force JIT compilation so later timings exclude compile time."""
-    d = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
-    minplus_closure(d)

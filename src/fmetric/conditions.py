@@ -55,10 +55,12 @@ def random_pairs(space, count: int, seed: int) -> PairSample:
                 pairs.append((pts[int(i)], pts[int(j)]))
     elif isinstance(space, AnalyticSpace) and space.bounds is not None:
         lo, hi = space.bounds
+        # one draw of all rows takes the stream's values in the order that
+        # a draw per pair would, so rejecting x == y rows and topping up
+        # gives the same sample
         while len(pairs) < count:
-            x, y = rng.uniform(lo, hi, size=2)
-            if x != y:
-                pairs.append((float(x), float(y)))
+            xy = rng.uniform(lo, hi, size=(count - len(pairs), 2))
+            pairs += map(tuple, xy[xy[:, 0] != xy[:, 1]].tolist())
     else:
         raise DomainError("cannot sample this space: no enumeration and no bounds")
     return PairSample(tuple(pairs), f"random(seed={seed}, count={count})")

@@ -54,6 +54,9 @@ class FiniteSpace:
         m.flags.writeable = False
         object.__setattr__(self, "dist", m)
         object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(labels)})
+        # margins at which check_identity_symmetry passed; the matrix is
+        # read-only, so a pass holds for the life of the space
+        object.__setattr__(self, "_axioms_hold", set())
 
     @property
     def n(self) -> int:
@@ -154,6 +157,8 @@ def check_identity_symmetry(space: FiniteSpace, margin: float = 0.0):
     sym_viol = [
         ((lab[i], lab[j]), float(m[i, j]), float(m[j, i])) for i, j in zip(sym_i, sym_j)
     ]
+    if not id_viol and not sym_viol:
+        space._axioms_hold.add(margin)
     return [
         VerificationReport(axiom="D1", passed=not id_viol, violations=id_viol),
         VerificationReport(axiom="D2", passed=not sym_viol, violations=sym_viol),
@@ -161,6 +166,10 @@ def check_identity_symmetry(space: FiniteSpace, margin: float = 0.0):
 
 
 def _require_identity_symmetry(space: FiniteSpace, margin: float):
+    """Raise unless D1 and D2 hold within margin; a space that already
+    passed check_identity_symmetry at this margin is not checked again."""
+    if margin in space._axioms_hold:
+        return
     reports = check_identity_symmetry(space, margin)
     bad = [r for r in reports if not r.passed]
     if bad:
@@ -173,10 +182,10 @@ def _require_identity_symmetry(space: FiniteSpace, margin: float):
 def min_chain_sums(space: FiniteSpace, margin: float = 0.0) -> np.ndarray:
     """Minimal chain-link sums between all pairs.
 
-    sp[i][j] <= dist[i][j] always, sp[i][i] = 0, and no chain with
-    repeated points can beat the best simple chain, so relaxation over
-    at most n-2 sweeps is exact (see _kernels.minplus_closure). The
-    identity and symmetry axioms must hold first, within margin.
+    sp[i][j] <= dist[i][j] always, sp[i][i] = 0, and each entry is the
+    smallest left-to-right rounded sum over chains from i to j, bitwise
+    (see _kernels.minplus_closure). The identity and symmetry axioms
+    must hold first, within margin.
     """
     _require_identity_symmetry(space, margin)
     return minplus_closure(space.dist)
@@ -201,15 +210,15 @@ def verify_D3(space: FiniteSpace, w: Witness, margin: float = 0.0) -> Verificati
     (+ margin). Evaluating the slack with the same float subtraction
     used by min_alpha makes the two operations exactly consistent.
     """
-    slack, sp, off = _d3_slack(space, w.f, margin)
-    violations = []
-    n = space.n
-    for i in range(n):
-        for j in range(i + 1, n):  # d and sp are symmetric, so one direction suffices
-            if slack[i, j] > w.alpha + margin:
-                lhs = float(w.f.eval(space.dist[i, j]))
-                rhs = float(w.f.eval(sp[i, j]) + w.alpha)
-                violations.append(((space.labels[i], space.labels[j]), lhs, rhs))
+    slack, sp, _ = _d3_slack(space, w.f, margin)
+    # d and sp are symmetric, so the pairs i < j suffice, in row-major order
+    ii, jj = np.nonzero(np.triu(slack > w.alpha + margin, 1))
+    lhs = w.f.eval(space.dist[ii, jj]).tolist()
+    rhs = (w.f.eval(sp[ii, jj]) + w.alpha).tolist()
+    lab = space.labels
+    violations = [
+        ((lab[i], lab[j]), a, b) for i, j, a, b in zip(ii.tolist(), jj.tolist(), lhs, rhs)
+    ]
     return VerificationReport(axiom="D3", passed=not violations, violations=violations)
 
 

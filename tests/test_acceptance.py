@@ -12,7 +12,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from fmetric import (
     AlteringDistance,
@@ -41,7 +40,6 @@ from fmetric import (
     shift_condition_check,
     verify_D3,
 )
-from fmetric._kernels import warmup
 from fmetric.corpus import random_fspace, random_metric
 from fmetric.fspace import FiniteSpace
 
@@ -50,12 +48,6 @@ NEG_INV = lookup_function("neg_inv", "generator")
 ID_GEN = lookup_function("id", "generator")
 ID_PHI = lookup_function("id", "altering")
 SQUARE = lookup_function("square", "altering")
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm_kernels():
-    # compile the numba kernels (when active) outside any timed region
-    warmup()
 
 
 def _emit(k, name, problems):

@@ -340,3 +340,26 @@ def test_check_orbital_kannan_on_sequence_space_past_int64(capsys):
     assert (code, err) == (1, "")
     assert "checked: 200" in out
     assert "... and 162 more" in out
+
+
+@pytest.mark.parametrize("margin", ["0", "1e-9"])
+def test_verify_checks_identity_symmetry_once(capsys, monkeypatch, margin):
+    from fmetric import cli, fspace
+
+    calls = []
+    original = fspace.check_identity_symmetry
+
+    def counting(space, margin=0.0):
+        calls.append(margin)
+        return original(space, margin)
+
+    monkeypatch.setattr(fspace, "check_identity_symmetry", counting)
+    monkeypatch.setattr(cli, "check_identity_symmetry", counting)
+    # the orbit's D3 violations are ulp-sized, so the margin clears them
+    code, out, _ = run(
+        capsys, "verify", "--example", "oscillating-orbit", "--depth", "30",
+        "--alpha", "0", "--margin", margin,
+    )
+    assert code == (1 if margin == "0" else 0)
+    assert "D3 chain inequality" in out
+    assert calls == [float(margin)]

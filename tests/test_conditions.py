@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fmetric import (
+    AnalyticSpace,
     ConditionReport,
     DomainError,
     FiniteSpace,
@@ -39,6 +40,32 @@ def test_random_pairs_deterministic_per_seed():
     assert a.pairs != c.pairs
     assert a.source == "random(seed=3, count=50)"
     assert all(x != y and 0 <= x <= 1 and 0 <= y <= 1 for x, y in a.pairs)
+
+
+def _loop_random_pairs(space, count, seed):
+    """Reference: one uniform draw of two values per pair, x == y rejected."""
+    rng = np.random.default_rng(seed)
+    lo, hi = space.bounds
+    pairs = []
+    while len(pairs) < count:
+        x, y = rng.uniform(lo, hi, size=2)
+        if x != y:
+            pairs.append((float(x), float(y)))
+    return tuple(pairs)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_pairs_on_bounds_match_per_pair_draws(seed):
+    eps = np.finfo(float).eps
+    # an interval two ulps wide makes x == y common, so rows get topped up
+    narrow = AnalyticSpace(point_kind="real", dist_rule=lambda x, y: abs(x - y),
+                           bounds=(1.0, 1.0 + 2 * eps))
+    first = np.random.default_rng(seed).uniform(*narrow.bounds, size=(300, 2))
+    assert (first[:, 0] == first[:, 1]).any()
+    for space, count in ((interval_halving().space, 1000), (narrow, 300)):
+        got = random_pairs(space, count, seed=seed).pairs
+        assert got == _loop_random_pairs(space, count, seed)
+        assert all(type(v) is float for pair in got for v in pair)
 
 
 def test_random_pairs_on_finite_space():

@@ -18,11 +18,13 @@ from fmetric import (
     min_alpha,
     min_chain_sums,
     open_ball,
+    oscillating_orbit_space,
     random_fspace,
     random_metric,
     rect_b_family,
     verify_D3,
 )
+from fmetric.fspace import _d3_slack
 
 LN = lookup_function("ln", "generator")
 
@@ -269,3 +271,76 @@ def test_identity_symmetry_matches_loop_reference_in_order(margin):
     assert len(id_viol) > n and sym_viol
     assert d1.violations == id_viol and d2.violations == sym_viol
     assert not d1.passed and not d2.passed
+
+
+def _loop_verify_D3(space, w, margin):
+    """Pair-by-pair reference for verify_D3's violation list."""
+    slack, sp, _ = _d3_slack(space, w.f, margin)
+    violations = []
+    for i in range(space.n):
+        for j in range(i + 1, space.n):
+            if slack[i, j] > w.alpha + margin:
+                lhs = float(w.f.eval(space.dist[i, j]))
+                rhs = float(w.f.eval(sp[i, j]) + w.alpha)
+                violations.append(((space.labels[i], space.labels[j]), lhs, rhs))
+    return violations
+
+
+def _half_min_alpha(space):
+    """The space with alpha at half its minimum, so that some pairs fail."""
+    return space, Witness(LN, min_alpha(space, LN) / 2)
+
+
+def _string_labelled(seed, n):
+    dist = random_fspace(seed, n, LN)[0].dist
+    return FiniteSpace(labels=tuple(f"p{k}" for k in range(n)), dist=dist)
+
+
+D3_TABLES = {
+    "non-metric": lambda: _half_min_alpha(random_fspace(20, 45, LN)[0]),
+    "orbit": lambda: (oscillating_orbit_space(depth=30).space, Witness(LN, 0.0)),
+    "string-labels": lambda: _half_min_alpha(_string_labelled(21, 40)),
+    "violation-free": lambda: (random_metric(22, 50), Witness(LN, 0.0)),
+}
+
+
+@pytest.mark.parametrize("margin_share", [0.0, 0.5])
+@pytest.mark.parametrize("name", D3_TABLES)
+def test_verify_D3_matches_pair_loop_reference(name, margin_share):
+    space, w = D3_TABLES[name]()
+    # a share of the worst excess over alpha, kept below every distance so
+    # that D1 still holds, drops some violations and keeps others
+    excess = min_alpha(space, w.f) - w.alpha
+    closest = space.dist[~np.eye(space.n, dtype=bool)].min()
+    margin = margin_share * min(excess if excess > 0 else 1e-3, closest)
+    rep = verify_D3(space, w, margin=margin)
+    want = _loop_verify_D3(space, w, margin)
+    assert rep.violations == want
+    assert rep.passed == (not want)
+    for (_, lhs, rhs), (_, lhs_w, rhs_w) in zip(rep.violations, want):
+        assert type(lhs) is float and type(rhs) is float
+        assert (lhs, rhs) == (lhs_w, rhs_w)
+        assert np.float64(lhs).tobytes() == np.float64(lhs_w).tobytes()
+        assert np.float64(rhs).tobytes() == np.float64(rhs_w).tobytes()
+    if name == "violation-free":
+        assert not want
+    elif margin_share > 0.0:
+        assert 0 < len(want) < len(_loop_verify_D3(space, w, 0.0))
+
+
+def test_verify_D3_and_chain_sums_reject_broken_axioms_at_every_margin():
+    m = np.array([[0.0, 1.0, 1.0], [1.0 + 1e-3, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    space = FiniteSpace(labels=("a", "b", "c"), dist=m)
+    w = Witness(LN, 0.0)
+    for _ in range(2):
+        with pytest.raises(SpaceAxiomError):
+            verify_D3(space, w)
+        with pytest.raises(SpaceAxiomError):
+            min_chain_sums(space)
+    # a pass at a looser margin does not carry over to a stricter one
+    assert all(r.passed for r in check_identity_symmetry(space, margin=1e-2))
+    assert verify_D3(space, w, margin=1e-2).passed
+    with pytest.raises(SpaceAxiomError):
+        verify_D3(space, w)
+    with pytest.raises(SpaceAxiomError):
+        min_chain_sums(space, margin=1e-4)

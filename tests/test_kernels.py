@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from fmetric import _kernels
-
-
-@pytest.fixture()
-def keep_backend():
-    prior = _kernels.active_backend()
-    yield
-    _kernels.set_backend(prior)
+from fmetric.corpus import oscillating_orbit_space, random_metric
 
 
 def random_symmetric(seed: int, n: int) -> np.ndarray:
@@ -18,38 +12,7 @@ def random_symmetric(seed: int, n: int) -> np.ndarray:
     return m + m.T
 
 
-def test_resolve_backend_env_rules():
-    assert _kernels._resolve_backend(None, True) == "numba"
-    assert _kernels._resolve_backend(None, False) == "numpy"
-    assert _kernels._resolve_backend("1", True) == "numpy"
-    assert _kernels._resolve_backend("yes", True) == "numpy"
-    # falsy spellings keep the default
-    for v in ("", "0", "false", "no", " FALSE "):
-        assert _kernels._resolve_backend(v, True) == "numba"
-    assert _kernels._resolve_backend("1", False) == "numpy"
-
-
-def test_set_backend_rejects_unknown(keep_backend):
-    with pytest.raises(ValueError):
-        _kernels.set_backend("gpu")
-
-
-def test_backends_bitwise_identical(keep_backend):
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba not installed")
-    _kernels.warmup()
-    for seed in range(50):
-        n = 2 + seed % 11
-        dist = random_symmetric(seed, n)
-        _kernels.set_backend("numpy")
-        a = _kernels.minplus_closure(dist)
-        _kernels.set_backend("numba")
-        b = _kernels.minplus_closure(dist)
-        assert np.array_equal(a, b), f"seed {seed} size {n}"
-
-
-def test_closure_bounds_and_idempotence(keep_backend):
-    _kernels.set_backend("numpy")
+def test_closure_bounds_and_idempotence():
     for seed in (3, 17, 42):
         dist = random_symmetric(seed, 8)
         sp = _kernels.minplus_closure(dist)
@@ -65,16 +28,14 @@ def test_closure_bounds_and_idempotence(keep_backend):
         assert np.allclose(sp, again, rtol=1e-12, atol=0.0)
 
 
-def test_closure_trivial_sizes(keep_backend):
-    _kernels.set_backend("numpy")
+def test_closure_trivial_sizes():
     one = np.zeros((1, 1))
     assert np.array_equal(_kernels.minplus_closure(one), one)
     two = np.array([[0.0, 3.0], [3.0, 0.0]])
     assert np.array_equal(_kernels.minplus_closure(two), two)
 
 
-def test_closure_picks_two_link_shortcut(keep_backend):
-    _kernels.set_backend("numpy")
+def test_closure_picks_two_link_shortcut():
     d = np.array([
         [0.0, 10.0, 1.0],
         [10.0, 0.0, 1.0],
@@ -85,7 +46,7 @@ def test_closure_picks_two_link_shortcut(keep_backend):
     assert sp[0, 2] == 1.0
 
 
-def test_sweep_candidates_left_associated(keep_backend):
+def test_sweep_candidates_left_associated():
     # a three-edge chain whose value depends on association order:
     # the kernels must produce the left-to-right rounding
     vals = [0.1, 0.2, 0.3, 0.7]
@@ -98,3 +59,75 @@ def test_sweep_candidates_left_associated(keep_backend):
     ])
     sp = _kernels.minplus_closure(d)
     assert sp[0, 3] == left
+
+
+def jacobi_closure(dist: np.ndarray) -> np.ndarray:
+    """Reference closure: whole-matrix sweeps that read only the previous
+    sweep's values, in ascending pivot order, until nothing changes or
+    n-2 sweeps have run."""
+    sp = dist.copy()
+    n = dist.shape[0]
+    for _ in range(max(0, n - 2)):
+        new = sp.copy()
+        for k in range(n):
+            np.minimum(new, sp[:, k : k + 1] + dist[k : k + 1, :], out=new)
+        if np.array_equal(new, sp):
+            break
+        sp = new
+    return sp
+
+
+def collinear(seed: int, n: int) -> np.ndarray:
+    """Points on a line with gaps in [0.5, 1.5], in increasing order."""
+    x = np.cumsum(np.random.default_rng(seed).uniform(0.5, 1.5, n))
+    return np.abs(x[:, None] - x[None, :])
+
+
+def permuted(m: np.ndarray, seed: int) -> np.ndarray:
+    p = np.random.default_rng(seed).permutation(m.shape[0])
+    return m[np.ix_(p, p)]
+
+
+CLOSURE_TABLES = {
+    "permuted-collinear": lambda: permuted(collinear(5, 100), 6),
+    "oscillating-orbit": lambda: oscillating_orbit_space(depth=40).space.dist,
+    "non-metric": lambda: random_symmetric(8, 90),
+    "euclidean": lambda: random_metric(9, 120).dist,
+    "n0": lambda: np.zeros((0, 0)),
+    "n1": lambda: np.zeros((1, 1)),
+    "n2": lambda: np.array([[0.0, 0.3], [0.3, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("name", CLOSURE_TABLES)
+def test_closure_bitwise_equal_to_jacobi_reference(name):
+    dist = CLOSURE_TABLES[name]()
+    got = _kernels.minplus_closure(dist)
+    want = jacobi_closure(dist)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    if name == "permuted-collinear":
+        assert not np.array_equal(want, dist)  # rounding shortcuts were found
+
+
+def count_sweeps(monkeypatch, dist: np.ndarray) -> int:
+    calls = []
+    sweep = _kernels.relax_sweep
+
+    def counted(sp, d, order):
+        calls.append(len(order))
+        return sweep(sp, d, order)
+
+    monkeypatch.setattr(_kernels, "relax_sweep", counted)
+    _kernels.minplus_closure(dist)
+    assert all(c == dist.shape[0] for c in calls)  # every sweep visits every pivot
+    return len(calls)
+
+
+def test_euclidean_table_takes_one_sweep(monkeypatch):
+    assert count_sweeps(monkeypatch, random_metric(3, 150).dist) == 1
+
+
+def test_collinear_table_takes_few_sweeps(monkeypatch):
+    # jacobi_closure takes 26 sweeps on this table
+    assert 1 < count_sweeps(monkeypatch, collinear(4, 200)) <= 4
