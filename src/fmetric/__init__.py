@@ -14,6 +14,7 @@ from .conditions import (
     edelstein_check,
     grid_pairs,
     kannan_check,
+    monotone_step_check,
     orbital_kannan_check,
     random_pairs,
     shift_condition_check,
@@ -70,7 +71,6 @@ from .solver import (
     apply_map,
     cauchy_tail_check,
     fixed_point_scan,
-    monotone_step_check,
     orbit,
     picard,
 )

@@ -23,7 +23,9 @@ from .fspace import (
     AnalyticSpace,
     FiniteSpace,
     Witness,
+    alpha_divergence_profile,
     check_identity_symmetry,
+    distance_table,
     min_alpha,
 )
 from .fspace import verify_D3 as _verify_D3
@@ -54,8 +56,7 @@ def _materialize(space) -> FiniteSpace:
     if isinstance(space, FiniteSpace):
         return space
     pts = space.points()  # DomainError if there is no finite enumeration
-    v = space.as_array(pts)
-    return FiniteSpace(labels=pts, dist=space.d(v[:, None], v[None, :]))
+    return FiniteSpace(labels=pts, dist=distance_table(space, pts))
 
 
 def _builder_params(args) -> dict:
@@ -269,7 +270,7 @@ def cmd_profile_alpha(args) -> int:
         print(f"error: bad range {args.from_n}..{args.to_n} (need 2 <= from <= to)", file=sys.stderr)
         return 2
     f = lookup_function(args.f, "generator")
-    rows = [(n, min_alpha(corpus.rect_b_family(n), f)) for n in range(args.from_n, args.to_n + 1)]
+    rows = alpha_divergence_profile(corpus.rect_b_family, f, (args.from_n, args.to_n))
     if args.output == "structured":
         _emit_json({
             "command": "profile-alpha",
@@ -283,14 +284,13 @@ def cmd_profile_alpha(args) -> int:
     return 0
 
 
-def _add_input_group(p: argparse.ArgumentParser, need_example_params=True) -> None:
+def _add_input_group(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--input", help="space file (JSON or CSV)")
     g.add_argument("--example", choices=corpus.example_ids(), help="bundled example id")
-    if need_example_params:
-        p.add_argument("--n", type=int, help="family parameter for rect-b")
-        p.add_argument("--depth", type=int, help="tail depth for oscillating-orbit")
-        p.add_argument("--N", type=int, help="truncation bound for sequence-space")
+    p.add_argument("--n", type=int, help="family parameter for rect-b")
+    p.add_argument("--depth", type=int, help="tail depth for oscillating-orbit")
+    p.add_argument("--N", type=int, help="truncation bound for sequence-space")
 
 
 def build_parser() -> argparse.ArgumentParser:

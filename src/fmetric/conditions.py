@@ -1,16 +1,17 @@
-"""Contraction-style condition checkers over explicit pair samples.
+"""Contraction-style condition checkers over explicit pair samples and orbits.
 
 All comparisons are strict and use exact float comparison: a tie is a
 violation. Each report records the sample provenance and the smallest
 rhs - lhs margin so near-ties are visible.
 
-The pairwise checks run on whole arrays: the map is applied once per
-distinct sample point, distances are one gather from the matrix of a
-finite space (or one call of an analytic space's d on arrays), and phi
-is evaluated once per array. Each float operation is the one a
-pair-by-pair evaluation would make, so reports are identical to it bit
-for bit, and a failing map or a negative distance raises the error that
-evaluation would meet first.
+Every check runs on whole arrays. The pairwise checks map each distinct
+sample point once, take distances in one call of space.dists, and
+evaluate phi once per array; the orbit checks read the orbit that
+solver.orbit walked and map nothing again. Each float operation is the
+one a pair-by-pair evaluation would make, so reports are identical to it
+bit for bit, and a failing map or a negative distance raises the error
+that evaluation would meet first (shift: the first negative entry, in
+row-major order, of the upper triangle of the orbit's distance table).
 """
 from __future__ import annotations
 
@@ -23,9 +24,9 @@ import numpy as np
 
 from .errors import DomainError
 from .fclass import AlteringDistance
-from .fspace import AnalyticSpace, FiniteSpace
+from .fspace import AnalyticSpace, FiniteSpace, distance_table
 from .reports import ConditionReport
-from .solver import apply_map, orbit
+from .solver import IterationTrace, apply_map, orbit
 
 
 @dataclass(frozen=True)
@@ -87,34 +88,23 @@ def grid_pairs(space, count: int) -> PairSample:
         m = max(2, math.ceil((1 + math.sqrt(1 + 8 * count)) / 2))
         pts = [float(v) for v in np.linspace(lo, hi, m)]
         src = f"grid({m} points on [{lo:g}, {hi:g}])"
-    pairs = []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            pairs.append((pts[i], pts[j]))
-            if len(pairs) == count:
-                return PairSample(tuple(pairs), src)
-    return PairSample(tuple(pairs), src)
+    return PairSample(tuple(itertools.islice(itertools.combinations(pts, 2), count)), src)
 
 
 def all_pairs(space) -> PairSample:
     """Every unordered pair of the enumerated carrier."""
     pts = space.points()
-    pairs = tuple(
-        (pts[i], pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts))
-    )
-    return PairSample(pairs, f"all_pairs({len(pts)} points)")
+    return PairSample(tuple(itertools.combinations(pts, 2)), f"all_pairs({len(pts)} points)")
 
 
 def _map_distinct(space, T, pairs):
     """Apply T once per distinct sample point, in pair order (x0, y0, x1, y1, ...),
     so the first DomainError names the same point a pair-by-pair pass would.
 
-    Returns (where, u, tu, dist, failure): where[k] is the rank among the
-    distinct points u of the point at flat position k, tu holds their
-    images, and dist(a, b) gives distances elementwise. On a FiniteSpace
-    points are coded as carrier indices and dist gathers from the
-    matrix; otherwise they are arrays of points and dist is the space's
-    d. If T fails at a point, failure is that DomainError and where keeps
+    Returns (where, u, tu, failure): where[k] is the rank among the
+    distinct points u of the point at flat position k, and tu holds their
+    images, both coded by space.as_array for space.dists. If T fails at a
+    point, failure is that DomainError and where keeps
     only the pairs before the one where that point first appears, the
     pairs a pair-by-pair pass would have finished. The dict of distinct
     points dies on return, before the per-pair arrays are built, which
@@ -126,14 +116,6 @@ def _map_distinct(space, T, pairs):
         dtype=np.intp,
         count=2 * len(pairs),
     )
-    if isinstance(space, FiniteSpace):
-        def code(points):
-            return np.fromiter(map(space.index, points), dtype=np.intp)
-
-        def dist(a, b):
-            return space.dist[a, b]
-    else:
-        code, dist = space.as_array, space.d
     failure = []
 
     def images():
@@ -144,12 +126,12 @@ def _map_distinct(space, T, pairs):
                 failure.append(exc)
                 return
 
-    tu = code(images())
+    tu = space.as_array(images())
     if failure:
         first = int(np.flatnonzero(where == tu.size)[0])
         where = where[: first - first % 2]
-    u = code(itertools.islice(distinct, tu.size))
-    return where, u, tu, dist, failure[0] if failure else None
+    u = space.as_array(itertools.islice(distinct, tu.size))
+    return where, u, tu, failure[0] if failure else None
 
 
 def _raise_first_negative(phi, sides):
@@ -167,14 +149,14 @@ def _pair_sides(space, T, phi, pairs, kannan: bool):
     takes phi of d(Tx, Ty) and of d(x, y) (Kannan: d(x, Tx), d(y, Ty))
     before it maps the next pair.
     """
-    where, u, tu, dist, failure = _map_distinct(space, T, pairs)
+    where, u, tu, failure = _map_distinct(space, T, pairs)
     wx, wy = where[0::2], where[1::2]
-    image_d = dist(tu[wx], tu[wy])
+    image_d = space.dists(tu[wx], tu[wy])
     if kannan:
-        disp = dist(u, tu)  # d(u, Tu) once per distinct u
+        disp = space.dists(u, tu)  # d(u, Tu) once per distinct u
         _raise_first_negative(phi, (image_d, disp[wx], disp[wy]))
     else:
-        pair_d = dist(u[wx], u[wy])
+        pair_d = space.dists(u[wx], u[wy])
         _raise_first_negative(phi, (image_d, pair_d))
     if failure is not None:
         raise failure
@@ -226,17 +208,40 @@ def orbital_kannan_check(space, T: Callable, phi: AlteringDistance, x0, count: i
 
     Evaluates pairs (x_k, x_{k+1}) for k < count along the orbit of x0,
     skipping pairs at distance zero (the orbit has stalled on a fixed
-    point; nothing left to contract).
+    point; nothing left to contract). With s the orbit's step distances,
+    pair k has lhs phi(s[k+1]) and rhs (phi(s[k]) + phi(s[k+1])) / 2.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     tr = orbit(space, T, x0, count + 1)
-    index = [k for k in range(count) if tr.step_dist[k] != 0.0]
-    pairs = [(tr.points[k], tr.points[k + 1]) for k in index]
-    lhs, rhs = _pair_sides(space, T, phi, pairs, kannan=True)
+    s = np.array(tr.step_dist, dtype=float)
+    index = np.flatnonzero(s[:count] != 0.0)
+    step, succ = s[index], s[index + 1]
+    _raise_first_negative(phi, (succ, step, succ))
+    lhs = phi.eval(succ)
+    rhs = 0.5 * (phi.eval(step) + lhs)
+    index = index.tolist()
     return _strict_report(
         f"orbital_kannan({phi.name})", lhs, rhs, f"orbit(x0={x0!r}, pairs={count})",
-        lambda k: {"pair": pairs[k], "index": index[k]},
+        lambda k: {"pair": (tr.points[index[k]], tr.points[index[k] + 1]), "index": index[k]},
+    )
+
+
+def monotone_step_check(trace: IterationTrace, phi: AlteringDistance) -> ConditionReport:
+    """Strict decrease of phi(step distance) along the trace.
+
+    Checks phi(s[k+1]) < phi(s[k]) for consecutive steps, stopping at
+    the first zero step (the orbit has landed on a fixed point and
+    every later step is 0). Ties count as violations.
+    """
+    s = np.array(trace.step_dist, dtype=float)
+    zero = np.flatnonzero(s == 0.0)
+    if zero.size:
+        s = s[: zero[0]]
+    _raise_first_negative(phi, (s[1:], s[:-1]))
+    return _strict_report(
+        f"monotone_step({phi.name})", phi.eval(s[1:]), phi.eval(s[:-1]),
+        f"trace of {len(trace)} points", lambda k: {"step": int(k)},
     )
 
 
@@ -263,36 +268,29 @@ def shift_condition_check(
     if not eps_grid:
         raise ValueError("eps_grid must be non-empty")
     tr = orbit(space, T, x0, horizon + 1)
-    phivals = [[None] * (horizon + 2) for _ in range(horizon + 2)]
-
-    def pd(i, j):
-        if phivals[i][j] is None:
-            phivals[i][j] = float(phi.eval(tr.space.d(tr.points[i], tr.points[j])))
-        return phivals[i][j]
-
+    upper = np.triu(distance_table(space, tr.points), 1)  # pairs i < j, zeros elsewhere
+    _raise_first_negative(phi, (upper,))
+    pd = phi.eval(upper)
+    near, succ = pd[:-1, :-1], pd[1:, 1:]
     violations = []
     margin = math.inf
-    checked = 0
     trigger_counts = []
     for eps in eps_grid:
         delta = float(delta_rule(eps))
         if not (delta > 0):
             raise ValueError(f"delta_rule({eps}) = {delta}, must be positive")
-        fired = 0
-        for i in range(horizon):
-            for j in range(i + 1, horizon + 1):
-                if pd(i, j) < eps + delta:
-                    fired += 1
-                    checked += 1
-                    succ = pd(i + 1, j + 1)
-                    margin = min(margin, eps - succ)
-                    if succ > eps:
-                        violations.append({"i": i, "j": j, "eps": eps, "lhs": succ, "rhs": eps})
-        trigger_counts.append((eps, fired))
+        i, j = np.nonzero(np.triu(near < eps + delta, 1))
+        lhs = succ[i, j]
+        margin = float(np.fmin.reduce(eps - lhs, initial=margin))
+        violations += [
+            {"i": int(i[k]), "j": int(j[k]), "eps": eps, "lhs": float(lhs[k]), "rhs": eps}
+            for k in np.flatnonzero(lhs > eps)
+        ]
+        trigger_counts.append((eps, i.size))
     return ConditionReport(
         condition=f"shift({phi.name})",
         passed=not violations,
-        checked=checked,
+        checked=sum(c for _, c in trigger_counts),
         violations=violations,
         margin_min=margin,
         source=f"orbit(x0={x0!r}, horizon={horizon}); triggers per eps: "

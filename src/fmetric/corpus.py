@@ -16,7 +16,7 @@ import numpy as np
 from . import conditions, solver
 from .errors import DomainError
 from .fclass import AlteringDistance, FGenerator, lookup_function
-from .fspace import AnalyticSpace, FiniteSpace, Witness, min_alpha, verify_D3
+from .fspace import AnalyticSpace, FiniteSpace, Witness, alpha_divergence_profile, min_alpha, verify_D3
 
 
 @dataclass(frozen=True)
@@ -261,7 +261,7 @@ def _reproduce_interval() -> list:
     ))
     # Step sizes halve from 1 down to ~2^-39; longer orbits would hit the
     # one-ulp plateau around the fixed point where strictness breaks down.
-    mono = solver.monotone_step_check(solver.orbit(ex.space, ex.map, 0.0, 40), sq)
+    mono = conditions.monotone_step_check(solver.orbit(ex.space, ex.map, 0.0, 40), sq)
     checks.append(("orbit steps strictly decrease", mono.passed, f"checked {mono.checked} steps"))
     tfix = abs(ex.map(2.0 / 3.0) - 2.0 / 3.0)
     checks.append(("map fixes 2/3", tfix < 1e-15, f"moved by {tfix:.3e}"))
@@ -361,7 +361,7 @@ def _reproduce_sequence() -> list:
 def _reproduce_rect_b() -> list:
     ln = lookup_function("ln", "generator")
     checks = []
-    profile = [(n, min_alpha(rect_b_family(n), ln)) for n in range(2, 51)]
+    profile = alpha_divergence_profile(rect_b_family, ln, (2, 50))
     worst = max(abs(a - math.log(15.0 * n * n / 6.0)) for n, a in profile)
     checks.append((
         "smallest alpha matches ln(15 n^2 / 6) for n = 2..50",

@@ -71,6 +71,14 @@ class FiniteSpace:
     def d(self, x, y) -> float:
         return float(self.dist[self.index(x), self.index(y)])
 
+    def as_array(self, points) -> np.ndarray:
+        """Points as carrier indices, the codes dists takes."""
+        return np.fromiter(map(self.index, points), dtype=np.intp)
+
+    def dists(self, a, b) -> np.ndarray:
+        """d elementwise between points coded by as_array: one gather."""
+        return self.dist[a, b]
+
     def points(self) -> tuple:
         return self.labels
 
@@ -83,10 +91,10 @@ class AnalyticSpace:
     """Carrier given by a membership rule and a closed-form distance.
 
     point_kind is 'real' (points are floats, bounds give the sampling
-    interval) or 'basis_index' (points are positive integers).
+    interval lo < hi) or 'basis_index' (points are positive integers).
     dist_rule must also work elementwise on numpy arrays of points,
     broadcasting like a ufunc: d passes arrays from as_array straight
-    to it, and the condition checkers and materialization call d once
+    to it, and distance tables and the condition checkers call d once
     on whole arrays.
     enumerate_points, when present, yields a finite truncation used by
     carrier scans and all-pairs sampling.
@@ -97,6 +105,10 @@ class AnalyticSpace:
     membership: Optional[Callable[[Any], bool]] = field(default=None, repr=False)
     enumerator: Optional[Callable[[], Sequence]] = field(default=None, repr=False)
     bounds: Optional[tuple] = None
+
+    def __post_init__(self):
+        if self.bounds is not None and not (self.bounds[0] < self.bounds[1]):
+            raise ValueError(f"bounds must satisfy lo < hi, got {self.bounds}")
 
     def d(self, x, y):
         """d(x, y) as a float, or elementwise as a float array when the
@@ -115,6 +127,9 @@ class AnalyticSpace:
             return np.array(points, dtype=np.int64)
         except OverflowError:
             return np.array(points, dtype=object)
+
+    # as_array leaves points as points, so d itself is the array method
+    dists = d
 
     def points(self) -> tuple:
         if self.enumerator is None:
@@ -137,6 +152,12 @@ class Witness:
     def __post_init__(self):
         if not (self.alpha >= 0.0):
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+
+
+def distance_table(space, points) -> np.ndarray:
+    """Matrix of d over a list of points, on either kind of space."""
+    v = space.as_array(points)
+    return space.dists(v[:, None], v[None, :])
 
 
 def check_identity_symmetry(space: FiniteSpace, margin: float = 0.0):
@@ -185,10 +206,16 @@ def min_chain_sums(space: FiniteSpace, margin: float = 0.0) -> np.ndarray:
     sp[i][j] <= dist[i][j] always, sp[i][i] = 0, and each entry is the
     smallest left-to-right rounded sum over chains from i to j, bitwise
     (see _kernels.minplus_closure). The identity and symmetry axioms
-    must hold first, within margin.
+    must hold first, within margin. A negative diagonal entry, which a
+    margin admits, would let a chain loop at its point and lower every
+    sum without bound, so the closure then runs on a zero diagonal.
     """
     _require_identity_symmetry(space, margin)
-    return minplus_closure(space.dist)
+    dist = space.dist
+    if (np.diagonal(dist) < 0).any():
+        dist = dist.copy()
+        np.fill_diagonal(dist, 0.0)
+    return minplus_closure(dist)
 
 
 def _d3_slack(space: FiniteSpace, f: FGenerator, margin: float = 0.0):

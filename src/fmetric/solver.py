@@ -8,13 +8,14 @@ in between, so a slowly converging orbit is not misread as a cycle.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+import numpy as np
+
 from .errors import DomainError
-from .fclass import AlteringDistance
-from .reports import ConditionReport, SolveReport
+from .fspace import distance_table
+from .reports import SolveReport
 
 _CYCLE_WINDOW = 64  # how far back revisits are searched
 
@@ -151,15 +152,11 @@ def cauchy_tail_check(trace: IterationTrace, space, windows: int) -> list:
     if len(pts) < 2 * windows:
         raise ValueError(f"trace of {len(pts)} points is too short for {windows} windows")
     bounds = [round(i * len(pts) / windows) for i in range(windows + 1)]
-    diams = []
-    for b, e in zip(bounds[:-1], bounds[1:]):
-        block = pts[b:e]
-        diam = 0.0
-        for i in range(len(block)):
-            for j in range(i + 1, len(block)):
-                diam = max(diam, space.d(block[i], block[j]))
-        diams.append(diam)
-    return diams
+    # a table per block: one table of the whole trace would grow with len(pts)**2
+    return [
+        float(np.triu(distance_table(space, pts[b:e]), 1).max())
+        for b, e in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 def fixed_point_scan(space, T: Callable) -> list:
@@ -173,33 +170,3 @@ def fixed_point_scan(space, T: Callable) -> list:
         if space.d(z, apply_map(space, T, z)) == 0.0:
             out.append(z)
     return out
-
-
-def monotone_step_check(trace: IterationTrace, phi: AlteringDistance) -> ConditionReport:
-    """Strict decrease of phi(step distance) along the trace.
-
-    Checks phi(s[k+1]) < phi(s[k]) for consecutive steps, stopping at
-    the first zero step (the orbit has landed on a fixed point and
-    every later step is 0). Ties count as violations.
-    """
-    steps = trace.step_dist
-    violations = []
-    margin = math.inf
-    checked = 0
-    for k in range(len(steps) - 1):
-        if steps[k] == 0.0 or steps[k + 1] == 0.0:
-            break
-        lhs = float(phi.eval(steps[k + 1]))
-        rhs = float(phi.eval(steps[k]))
-        checked += 1
-        margin = min(margin, rhs - lhs)
-        if not (lhs < rhs):
-            violations.append({"step": k, "lhs": lhs, "rhs": rhs})
-    return ConditionReport(
-        condition=f"monotone_step({phi.name})",
-        passed=not violations,
-        checked=checked,
-        violations=violations,
-        margin_min=margin,
-        source=f"trace of {len(trace)} points",
-    )

@@ -405,3 +405,34 @@ def test_errors_match_the_pair_by_pair_order(kannan, pairs):
     with pytest.raises(DomainError) as want:
         _scalar_pairwise("", space, T, ID, pairs, "", kannan)
     assert str(got.value) == str(want.value)
+
+
+def _loop_pairs(pts, count=None):
+    """Reference: index pairs i < j by a double loop, the first `count` of them."""
+    pairs = []
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if len(pairs) == count:
+                return tuple(pairs)
+            pairs.append((pts[i], pts[j]))
+    return tuple(pairs)
+
+
+@pytest.mark.parametrize("count", [1, 4, 45, 46, 100, 10000])
+def test_grid_and_all_pairs_match_double_loop(count):
+    finite = oscillating_orbit_space(depth=4).space
+    assert grid_pairs(finite, count).pairs == _loop_pairs(finite.labels, count)
+    assert all_pairs(finite).pairs == _loop_pairs(finite.labels)
+    seq = sequence_space(N=10).space
+    assert all_pairs(seq).pairs == _loop_pairs(tuple(range(1, 11)))
+    interval = interval_halving().space
+    got = grid_pairs(interval, count)
+    m = int(got.source.split("(")[1].split()[0])
+    assert got.pairs == _loop_pairs([float(v) for v in np.linspace(0.0, 1.0, m)], count)
+
+
+@pytest.mark.parametrize("bounds", [(1.0, 1.0), (2.0, 1.0), (0.0, math.nan)])
+def test_empty_sampling_interval_is_rejected(bounds):
+    # equal bounds used to make random_pairs reject every draw forever
+    with pytest.raises(ValueError, match="lo < hi"):
+        AnalyticSpace(point_kind="real", dist_rule=lambda x, y: abs(x - y), bounds=bounds)

@@ -344,3 +344,29 @@ def test_verify_D3_and_chain_sums_reject_broken_axioms_at_every_margin():
         verify_D3(space, w)
     with pytest.raises(SpaceAxiomError):
         min_chain_sums(space, margin=1e-4)
+
+
+def test_negative_diagonal_within_margin_gives_the_zero_diagonal_sums():
+    # a margin admits d(0, 0) = -1e-12; looping at point 0 would lower every
+    # chain sum without bound, so the closure must run on a zero diagonal
+    x = np.cumsum(np.random.default_rng(3).uniform(0.5, 1.5, 40))
+    zero = np.abs(x[:, None] - x[None, :])
+    neg = zero.copy()
+    neg[0, 0] = -1e-12
+    margin = 1e-9
+    got = min_chain_sums(FiniteSpace(tuple(range(40)), neg), margin)
+    want = min_chain_sums(FiniteSpace(tuple(range(40)), zero), margin)
+    off = ~np.eye(40, dtype=bool)
+    assert np.array_equal(got[off], want[off])
+    assert verify_D3(FiniteSpace(tuple(range(40)), neg), Witness(LN, 0.0), margin).violations == \
+        verify_D3(FiniteSpace(tuple(range(40)), zero), Witness(LN, 0.0), margin).violations
+
+
+def test_nonnegative_diagonal_reaches_the_closure_uncopied(monkeypatch):
+    from fmetric import fspace
+
+    seen = []
+    monkeypatch.setattr(fspace, "minplus_closure", lambda d: seen.append(d) or d.copy())
+    space = random_metric(4, 12)
+    min_chain_sums(space)
+    assert seen[0] is space.dist
