@@ -10,7 +10,6 @@ Same inputs and seed give byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -29,7 +28,7 @@ from .fspace import (
     min_alpha,
 )
 from .fspace import verify_D3 as _verify_D3
-from .reports import _jsonable
+from .reports import dumps
 from .spaceio import load_space_file
 
 _SHOWN_VIOLATIONS = 5
@@ -48,7 +47,7 @@ def _fmt(value) -> str:
 
 
 def _emit_json(doc: dict) -> None:
-    print(json.dumps(_jsonable(doc), indent=2))
+    print(dumps(doc))
 
 
 def _materialize(space) -> FiniteSpace:

@@ -13,6 +13,7 @@ the axiom, and its maximum over pairs is the smallest admissible alpha.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -203,11 +204,13 @@ def _require_identity_symmetry(space: FiniteSpace, margin: float):
 def min_chain_sums(space: FiniteSpace, margin: float = 0.0) -> np.ndarray:
     """Minimal chain-link sums between all pairs.
 
-    sp[i][j] <= dist[i][j] always, sp[i][i] = 0, and each entry is the
-    smallest left-to-right rounded sum over chains from i to j, bitwise
-    (see _kernels.minplus_closure). The identity and symmetry axioms
-    must hold first, within margin. A negative diagonal entry, which a
-    margin admits, would let a chain loop at its point and lower every
+    sp[i][j] <= dist[i][j] always, and each entry is the smallest
+    left-to-right rounded sum over chains from i to j, bitwise (see
+    _kernels.minplus_closure). The identity and symmetry axioms must hold
+    first, within margin. The diagonal is 0 on a zero-diagonal table, but
+    a margin also admits small nonzero diagonal entries: a positive one
+    stays on the diagonal of sp (D3 reads only off-diagonal entries), and
+    a negative one would let a chain loop at its point and lower every
     sum without bound, so the closure then runs on a zero diagonal.
     """
     _require_identity_symmetry(space, margin)
@@ -266,28 +269,44 @@ def alpha_divergence_profile(
     return [(n, min_alpha(family(n), f)) for n in range(lo, hi + 1)]
 
 
+def _distance_rows(space, centers, pts) -> np.ndarray:
+    """d(c, p) for each center c (one row each) and each p in pts, in one
+    array call."""
+    return space.dists(space.as_array(centers)[:, None], space.as_array(pts)[None, :])
+
+
+def _ball(pts, row: np.ndarray, r: float) -> set:
+    """The points of pts whose entry in the distance row is below r."""
+    return set(compress(pts, (row < r).tolist()))
+
+
 def open_ball(space, x, r: float) -> set:
     """Strict ball {y in carrier : d(x, y) < r}; x itself included for r > 0."""
     pts = space.points()
     if not space.contains(x):
         raise DomainError(f"center {x!r} is not in the carrier")
-    return {y for y in pts if space.d(x, y) < r}
+    return _ball(pts, _distance_rows(space, [x], pts)[0], r)
 
 
 def hausdorff_witness(space, x, y) -> tuple:
     """Smallest n >= 1 such that balls of radius d(x,y)/(2n) around x and
-    y are disjoint. Returns (n, radius); the balls are recomputed and
-    re-verified disjoint before returning.
+    y are disjoint. Returns (n, radius); the balls at every radius come
+    from one row of distances per center.
     """
     if x == y:
         raise DomainError("need two distinct points")
     dxy = space.d(x, y)
     if dxy <= 0:
         raise SpaceAxiomError(f"d({x!r}, {y!r}) = {dxy}, identity axiom broken")
+    pts = space.points()
+    for c in (x, y):
+        if not space.contains(c):
+            raise DomainError(f"center {c!r} is not in the carrier")
+    row_x, row_y = _distance_rows(space, [x, y], pts)
     for n in range(1, _HAUSDORFF_CAP + 1):
         r = dxy / (2.0 * n)
-        bx = open_ball(space, x, r)
-        by = open_ball(space, y, r)
+        bx = _ball(pts, row_x, r)
+        by = _ball(pts, row_y, r)
         if not (bx & by):
             assert x in bx and y in by
             return n, r
@@ -299,19 +318,28 @@ def ball_base(space, x) -> list:
 
     Consecutive duplicates are dropped; the list always ends with {x},
     reached once 1/n drops to the smallest positive distance from x.
+    Every ball comes from one row of distances from x: sorted, a ball
+    is the prefix of points nearer than 1/n.
     """
     pts = space.points()
     if not space.contains(x):
         raise DomainError(f"center {x!r} is not in the carrier")
-    others = [space.d(x, y) for y in pts if y != x]
+    row = _distance_rows(space, [x], pts)[0]
+    others = [d for y, d in zip(pts, row.tolist()) if y != x]
     if others and min(others) <= 0.0:
         raise SpaceAxiomError(f"a point at distance {min(others)} from {x!r} breaks the identity axiom")
+    order = np.argsort(row).tolist()
+    near = row[order].tolist()
     base = []
+    count = len(near)
     n = 1
     while True:
-        ball = open_ball(space, x, 1.0 / n)
-        if not base or ball != base[-1]:
-            base.append(ball)
-        if ball == {x}:
+        r = 1.0 / n
+        while count and not near[count - 1] < r:
+            count -= 1
+        # balls only shrink as n grows, so equal sizes mean equal balls
+        if not base or count != len(base[-1]):
+            base.append({pts[k] for k in order[:count]})
+        if base[-1] == {x}:
             return base
         n += 1

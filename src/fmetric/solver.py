@@ -74,7 +74,9 @@ def picard(space, T: Callable, x0, tol: float, max_iter: int) -> SolveReport:
     successor also satisfies d(x, Tx) <= 2 tol (the residual re-check);
     with cycle_detected when the newest iterate returns within tol of a
     recent one across steps that all exceed tol; with budget_exhausted
-    after max_iter applications.
+    after max_iter applications. iterations counts the applications of T
+    made by the iteration on every status (the residual re-check is not
+    one of them).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -91,7 +93,7 @@ def picard(space, T: Callable, x0, tol: float, max_iter: int) -> SolveReport:
             if residual <= 2.0 * tol:
                 return SolveReport(
                     status=STATUS_CONVERGED,
-                    iterations=it,
+                    iterations=it + 1,
                     fixed_point=nxt,
                     residual=residual,
                     trace=trace,

@@ -33,6 +33,7 @@ from .fclass import lookup_function
 from .fspace import FiniteSpace, Witness
 
 _SNAP_TOL = 1e-9
+_NUMBER_TYPES = frozenset((int, float))
 
 
 def _parse_cell(text: str, where: str) -> float:
@@ -55,17 +56,47 @@ def _parse_label(text: str):
 
 
 def _check_matrix(rows, n_labels: int) -> np.ndarray:
+    """The matrix as a float array, after checking its shape and entries.
+
+    A well-formed table is checked in bulk: one type set per row and one
+    finiteness test on the array. Only a table that fails is walked entry
+    by entry, to name its first offending row or entry in row-major order.
+    """
     if len(rows) != n_labels:
         raise SpaceFormatError(f"{n_labels} labels but {len(rows)} matrix rows")
+    if all(
+        type(row) is list and len(row) == n_labels and _NUMBER_TYPES.issuperset(map(type, row))
+        for row in rows
+    ):
+        try:
+            m = np.array(rows, dtype=float)
+        except OverflowError:  # an int beyond the float range; the walk names it
+            pass
+        else:
+            if np.isfinite(m).all():
+                return m
+    _raise_first_bad_entry(rows, n_labels)
+
+
+def _raise_first_bad_entry(rows, n_labels: int) -> None:
+    """Raise for the first row or entry, in row-major order, that fails
+    one of the tests _check_matrix makes in bulk."""
     for i, row in enumerate(rows):
+        if type(row) is not list:
+            raise SpaceFormatError(f"matrix row {i} is {row!r}, not a list")
         if len(row) != n_labels:
             raise SpaceFormatError(f"matrix row {i} has {len(row)} entries, expected {n_labels}")
         for j, v in enumerate(row):
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
+            if type(v) not in _NUMBER_TYPES:
                 raise SpaceFormatError(f"matrix entry ({i}, {j}) is {v!r}, not a number")
-            if not math.isfinite(v):
+            try:
+                finite = math.isfinite(v)
+            except OverflowError:
+                raise SpaceFormatError(
+                    f"matrix entry ({i}, {j}) is an integer too large for a float"
+                ) from None
+            if not finite:
                 raise SpaceFormatError(f"matrix entry ({i}, {j}) is {v}; entries must be finite")
-    return np.array(rows, dtype=float)
 
 
 def _affine_map(a: float, b: float, space: FiniteSpace) -> Callable:
@@ -151,10 +182,13 @@ def _load_csv(text: str, path: str):
     if len(rows) < 2:
         raise SpaceFormatError(f"{path}: need a header row and at least one matrix row")
     labels = tuple(_parse_label(c) for c in rows[0])
-    matrix = [
-        [_parse_cell(c, f"{path}: row {i + 1}, column {j}") for j, c in enumerate(row)]
-        for i, row in enumerate(rows[1:])
-    ]
+    matrix = []
+    for i, row in enumerate(rows[1:], 1):
+        try:
+            matrix.append(list(map(float, row)))
+        except ValueError:
+            for j, c in enumerate(row):
+                _parse_cell(c, f"{path}: row {i}, column {j}")
     m = _check_matrix(matrix, len(labels))
     return FiniteSpace(labels=labels, dist=m), None, None
 

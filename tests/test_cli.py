@@ -363,3 +363,11 @@ def test_verify_checks_identity_symmetry_once(capsys, monkeypatch, margin):
     assert code == (1 if margin == "0" else 0)
     assert "D3 chain inequality" in out
     assert calls == [float(margin)]
+
+
+def test_verify_integer_too_large_for_a_float_exit_2(capsys, tmp_path):
+    p = tmp_path / "big.json"
+    p.write_text('{"points": [0, 1], "matrix": [[0, %d], [1, 0]]}' % 10 ** 400)
+    code, out, err = run(capsys, "verify", "--input", str(p), "--alpha", "0")
+    assert code == 2 and out == ""
+    assert err == "error: matrix entry (0, 1) is an integer too large for a float\n"

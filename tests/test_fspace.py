@@ -22,6 +22,7 @@ from fmetric import (
     random_fspace,
     random_metric,
     rect_b_family,
+    sequence_space,
     verify_D3,
 )
 from fmetric.fspace import _d3_slack
@@ -231,6 +232,88 @@ def test_ball_base_identity_guard():
         ball_base(sp, "x")
 
 
+def _scalar_open_ball(space, x, r):
+    return {y for y in space.points() if space.d(x, y) < r}
+
+
+def _scalar_ball_base(space, x):
+    """Balls B(x, 1/n) by one scalar d call per point and radius."""
+    base = []
+    n = 1
+    while True:
+        ball = _scalar_open_ball(space, x, 1.0 / n)
+        if not base or ball != base[-1]:
+            base.append(ball)
+        if ball == {x}:
+            return base
+        n += 1
+
+
+def _line(points):
+    return AnalyticSpace(point_kind="real", dist_rule=lambda a, b: abs(a - b),
+                         enumerator=lambda: points)
+
+
+BALL_SPACES = {
+    "orbit": (oscillating_orbit_space(depth=60).space, [2.0, -2.0, 2.0 + 1.0 / 12]),
+    "random": (random_fspace(3, 12, LN)[0], None),
+    "three points": (three_point_space(), None),
+    # ties (0.5 and -0.5 from 0) and near-ties (0.7 - 0.5 is 0.2 less an ulp)
+    "line": (_line([0.0, 0.5, -0.5, 0.25, 1.0 / 3, 0.2, -0.2, 0.9, 0.01, 0.7]), None),
+    "sequence": (sequence_space(N=40).space, [1, 7, 40]),
+}
+
+
+@pytest.mark.parametrize("space, centers", BALL_SPACES.values(), ids=BALL_SPACES.keys())
+def test_balls_match_scalar_distance_loops(space, centers):
+    pts = space.points()
+    for x in centers or pts:
+        assert ball_base(space, x) == _scalar_ball_base(space, x)
+        radii = {space.d(x, y) for y in pts} | {0.0, 0.15, 0.3, 1.0, 2.5, math.inf, math.nan}
+        for r in sorted(radii):
+            assert open_ball(space, x, r) == _scalar_open_ball(space, x, r)
+
+
+def _scalar_hausdorff_witness(space, x, y):
+    dxy = space.d(x, y)
+    n = 1
+    while _scalar_open_ball(space, x, dxy / (2.0 * n)) & _scalar_open_ball(space, y, dxy / (2.0 * n)):
+        n += 1
+    return n, dxy / (2.0 * n)
+
+
+@pytest.mark.parametrize("space, centers", BALL_SPACES.values(), ids=BALL_SPACES.keys())
+def test_hausdorff_witness_matches_scalar_distance_loops(space, centers):
+    pts = list(centers or space.points())
+    for x in pts:
+        for y in pts:
+            if x != y:
+                assert hausdorff_witness(space, x, y) == _scalar_hausdorff_witness(space, x, y)
+
+
+def test_ball_base_reads_one_distance_row(monkeypatch):
+    space = oscillating_orbit_space(depth=40).space
+    calls = []
+    monkeypatch.setattr(FiniteSpace, "d", lambda self, x, y: calls.append((x, y)))
+    base = ball_base(space, 2.0)
+    assert calls == [] and base[-1] == {2.0} and len(base) > 10
+
+
+def test_ball_errors_keep_their_order():
+    space = sequence_space(N=5).space
+    with pytest.raises(DomainError, match="center 0 is not in the carrier"):
+        ball_base(space, 0)
+    with pytest.raises(DomainError, match="no finite enumeration"):
+        open_ball(AnalyticSpace(point_kind="real", dist_rule=lambda a, b: abs(a - b)), 9.0, 1.0)
+    half_line = AnalyticSpace(point_kind="real", dist_rule=lambda a, b: abs(a - b),
+                              membership=lambda p: p >= 0, enumerator=lambda: [0.0, 1.0])
+    with pytest.raises(DomainError, match="center -1.0 is not in the carrier"):
+        hausdorff_witness(half_line, 0.0, -1.0)
+    with pytest.raises(SpaceAxiomError, match="distance -1.0 from 'a'"):
+        ball_base(FiniteSpace(labels=("a", "b", "c"),
+                              dist=[[0, 2, -1], [2, 0, 0.5], [-1, 0.5, 0]]), "a")
+
+
 def test_analytic_space_membership_and_points():
     line = AnalyticSpace(
         point_kind="real",
@@ -370,3 +453,8 @@ def test_nonnegative_diagonal_reaches_the_closure_uncopied(monkeypatch):
     space = random_metric(4, 12)
     min_chain_sums(space)
     assert seen[0] is space.dist
+
+
+def test_positive_diagonal_within_margin_stays_on_the_closure_diagonal():
+    space = FiniteSpace(labels=(0, 1), dist=[[1e-12, 1.0], [1.0, 0.0]])
+    assert min_chain_sums(space, 1e-9).diagonal().tolist() == [1e-12, 0.0]

@@ -1,0 +1,129 @@
+import json
+
+import numpy as np
+import pytest
+
+from fmetric import cli
+from fmetric.reports import _jsonable, dumps
+
+
+def reference(doc) -> str:
+    return json.dumps(_jsonable(doc), indent=2)
+
+
+def _object_holding(value):
+    a = np.empty((), dtype=object)
+    a[()] = value
+    return a
+
+
+def _violations(pairs, values):
+    return [{"pair": list(p), "lhs": a, "rhs": b} for p, (a, b) in zip(pairs, values)]
+
+
+ADVERSARIAL = {
+    "labels": _violations(
+        [('a"b', "c\\d"), ("%s%%", "é∑ "), ("tab\there", "new\nline"), ("", "\x00")],
+        [(1.0, 2.0)] * 4,
+    ),
+    "special floats": _violations(
+        [(0, 1)] * 6,
+        [(-0.0, 5e-324), (1e16, 1e-7), (1e22, -1e300), (0.1, 2.0 ** 60), (123456789.0, 1.5e-310),
+         (float("inf"), float("nan"))],
+    ),
+    "finite floats only": _violations([(i, i + 1) for i in range(5)],
+                                      [(-0.0, 5e-324), (1e16, 1.0), (0.5, 3.0), (7.0, 8.0), (9.0, 1e-5)]),
+    "non-finite columns": [{"v": float("-inf")}, {"v": 1.0}, {"v": float("nan")}, {"v": float("inf")}],
+    "numpy scalars": _violations(
+        [(np.int64(1), np.int32(2)), (np.str_("x"), 3)],
+        [(np.float64(1.5), np.float32(0.1)), (np.float64("nan"), np.float32("inf"))],
+    ) + [{"pair": [np.bool_(True), np.uint8(7)], "lhs": np.array(2.5), "rhs": np.float16(1)}],
+    "bools and ints": [{"a": 1, "b": True}, {"a": True, "b": 0}, {"a": 0, "b": False}, {"a": None, "b": 2}],
+    "big ints": [{"a": 10 ** 30, "b": -5}, {"a": -(2 ** 64), "b": 0}],
+    "differing key order": [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
+    "differing list lengths": [{"p": [1, 2], "x": 0}, {"p": [1], "x": 0}],
+    "list and scalar in one key": [{"p": [1], "x": 0}, {"p": 1, "x": 0}],
+    "tuple slots": [{"p": (1, 2)}, {"p": [3, 4]}, {"p": (5, 6)}],
+    "empty list slots": [{"p": [], "x": 1}, {"p": [], "x": 2}],
+    "empty records": [{}, {}],
+    "only empty slots": [{"p": []}, {"p": []}],
+    "nested slot values": [{"a": {"x": 1, "y": [1, 2]}, "b": [[1], {}]},
+                           {"a": {}, "b": [[2, 3], {"z": None}]}],
+    "list of lists": [[1, 2], [3, 4], []],
+    "one record": [{"pair": [1, 2], "lhs": 0.5, "rhs": 0.25}],
+    "percent keys": [{"k%s": 1, 'q"%%': "%d", "é": 2}, {"k%s": 3, 'q"%%': "%", "é": 4}],
+    "non-str keys": {1: "a", None: 2, 1.5: 3, True: 4, (1, 2): 5, np.int64(6): 6, np.float32(0.1): 7},
+    "keys equal after str": {1: "a", "1": "b", "2": "c"},
+    "non-str record keys": [{1: "a"}, {1: "b"}],
+    "mixed key types equal": [{1: "a"}, {True: "b"}],
+    "empties": {"a": [], "b": {}, "c": [[], {}, ()], "d": [[[]]]},
+    "item returns a container": {"x": _object_holding({"k": [1, 2.5, float("inf")], 2: (3,)}),
+                                 "y": [_object_holding([[]]), _object_holding(float("nan"))]},
+    "top-level scalar": 1.5,
+    "top-level string": "a\"%",
+    "top-level nan": float("nan"),
+    "numpy array of one": {"a": np.array([4.0])},
+}
+
+
+@pytest.mark.parametrize("doc", ADVERSARIAL.values(), ids=ADVERSARIAL.keys())
+def test_dumps_matches_json_dumps_of_jsonable(doc):
+    assert dumps(doc) == reference(doc)
+    assert dumps({"nested": [doc, {"deeper": [doc]}]}) == reference({"nested": [doc, {"deeper": [doc]}]})
+
+
+UNSERIALIZABLE = {
+    "object": {"x": object()},
+    "object in a column": [{"a": 1}, {"a": object()}],
+    "bytes": [{"a": b"x"}, {"a": b"y"}],
+    "set": {"s": {1, 2}},
+    "array": [{"a": np.arange(3)}, {"a": np.arange(3)}],
+}
+
+
+@pytest.mark.parametrize("doc", UNSERIALIZABLE.values(), ids=UNSERIALIZABLE.keys())
+def test_dumps_raises_what_json_dumps_raises(doc):
+    with pytest.raises(Exception) as want:
+        reference(doc)
+    with pytest.raises(want.type) as got:
+        dumps(doc)
+    assert str(got.value) == str(want.value)
+
+
+SUBCOMMANDS = [
+    ["verify", "--example", "rect-b", "--n", "8", "--alpha", "1"],
+    ["verify", "--example", "oscillating-orbit", "--depth", "20", "--alpha", "0"],
+    ["min-alpha", "--example", "rect-b", "--n", "12"],
+    ["solve", "--example", "oscillating-orbit", "--x0", "2"],
+    ["solve", "--example", "interval-halving", "--x0", "0"],
+    ["check", "kannan", "--example", "oscillating-orbit", "--depth", "20", "--all-pairs"],
+    ["check", "shift", "--example", "interval-halving", "--x0", "1/3"],
+    ["check", "edelstein", "--example", "interval-halving", "--pairs", "300", "--seed", "4"],
+    ["check", "orbital-kannan", "--example", "sequence-space", "--x0", "1"],
+    ["reproduce", "oscillating-orbit"],
+    ["profile-alpha", "--from", "2", "--to", "9"],
+]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=[" ".join(a[:4]) for a in SUBCOMMANDS])
+def test_structured_documents_of_every_subcommand(argv, capsys, monkeypatch):
+    docs = []
+
+    def checked_dumps(doc):
+        docs.append(doc)
+        return reference(doc)
+
+    monkeypatch.setattr(cli, "dumps", checked_dumps)
+    cli.main([*argv, "--output", "structured"])
+    assert len(docs) == 1
+    assert dumps(docs[0]) == capsys.readouterr().out.rstrip("\n")
+
+
+def test_structured_verify_with_broken_axioms_and_string_labels(capsys, tmp_path, monkeypatch):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"points": ['a"%', "b\\", "é"],
+                             "matrix": [[0, 1, -2], [1, 0, 3], [2, 3, 1e-9]]}))
+    docs = []
+    monkeypatch.setattr(cli, "dumps", lambda doc: docs.append(doc) or reference(doc))
+    assert cli.main(["verify", "--input", str(p), "--alpha", "0", "--output", "structured"]) == 1
+    assert dumps(docs[0]) == capsys.readouterr().out.rstrip("\n")

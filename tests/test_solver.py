@@ -55,7 +55,7 @@ def test_picard_identity_map_converges_immediately():
     sp = FiniteSpace(labels=(0, 1), dist=np.array([[0.0, 1.0], [1.0, 0.0]]))
     rep = picard(sp, lambda x: x, 0, tol=1e-9, max_iter=10)
     assert rep.status == STATUS_CONVERGED
-    assert rep.iterations == 0
+    assert rep.iterations == 1
     assert rep.fixed_point == 0
     assert rep.residual == 0.0
 
@@ -64,7 +64,7 @@ def test_picard_interval_halving():
     ex = interval_halving()
     rep = picard(ex.space, ex.map, 0.0, tol=1e-9, max_iter=200)
     assert rep.status == STATUS_CONVERGED
-    assert rep.iterations == 30
+    assert rep.iterations == 31
     assert abs(rep.fixed_point - 2.0 / 3.0) < 1e-8
     assert rep.residual <= 2e-9
 
@@ -83,6 +83,19 @@ def test_picard_budget_exhausted():
     assert rep.status == STATUS_BUDGET
     assert rep.iterations == 5
     assert rep.fixed_point is None
+
+
+@pytest.mark.parametrize("make, x0, max_iter, status", [
+    (interval_halving, 0.0, 200, STATUS_CONVERGED),
+    (lambda: oscillating_orbit_space(depth=5), 2.0, 50, STATUS_CYCLE),
+    (lambda: sequence_space(N=100), 1, 5, STATUS_BUDGET),
+])
+def test_picard_iterations_count_map_applications(make, x0, max_iter, status):
+    ex = make()
+    rep = picard(ex.space, ex.map, x0, tol=1e-6, max_iter=max_iter)
+    assert rep.status == status
+    # the trace holds x0 and one point per application of the map
+    assert rep.iterations == len(rep.trace) - 1
 
 
 def test_picard_parameter_validation():

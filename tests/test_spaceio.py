@@ -168,3 +168,93 @@ def test_matrix_rejects_non_numbers(tmp_path):
     doc = {"points": ["a", "b"], "matrix": [[0, "1"], ["1", 0]]}
     with pytest.raises(SpaceFormatError):
         load_space_file(write(tmp_path, "str.json", json.dumps(doc)))
+
+
+def _json_matrix_error(tmp_path, matrix: str) -> str:
+    p = write(tmp_path, "m.json", '{"points": ["a", "b"], "matrix": %s}' % matrix)
+    with pytest.raises(SpaceFormatError) as e:
+        load_space_file(p)
+    return str(e.value)
+
+
+@pytest.mark.parametrize("matrix, message", [
+    # the first offending entry in row-major order, whichever kind of fault it is
+    ('[[0, "x"], [NaN, 0]]', "matrix entry (0, 1) is 'x', not a number"),
+    ('[[0, Infinity], ["x", 0]]', "matrix entry (0, 1) is inf; entries must be finite"),
+    ('[[0, 1], [true, 0]]', "matrix entry (1, 0) is True, not a number"),
+    ('[[0, "1"], [1, 0]]', "matrix entry (0, 1) is '1', not a number"),
+    ('[[0, null], [1, 0]]', "matrix entry (0, 1) is None, not a number"),
+    ('[[0, [1]], [1, 0]]', "matrix entry (0, 1) is [1], not a number"),
+    ('[[0, NaN], [1, 0]]', "matrix entry (0, 1) is nan; entries must be finite"),
+    ('[[0, 1], [-Infinity, 0]]', "matrix entry (1, 0) is -inf; entries must be finite"),
+    # a ragged row after a bad entry: the entry comes first
+    ('[[0, "x"], [1]]', "matrix entry (0, 1) is 'x', not a number"),
+    ('[[0, NaN], [1, 0, 2]]', "matrix entry (0, 1) is nan; entries must be finite"),
+    ('[[0], ["x", 0]]', "matrix row 0 has 1 entries, expected 2"),
+    ('[[0, 1], [1]]', "matrix row 1 has 1 entries, expected 2"),
+    ('[[0, 1]]', "2 labels but 1 matrix rows"),
+    ('[[0, 1], 5]', "matrix row 1 is 5, not a list"),
+])
+def test_json_matrix_error_names_first_offending_entry(tmp_path, matrix, message):
+    assert _json_matrix_error(tmp_path, matrix) == message
+
+
+def _csv_error(tmp_path, text: str) -> tuple:
+    p = write(tmp_path, "m.csv", text)
+    with pytest.raises(SpaceFormatError) as e:
+        load_space_file(p)
+    return str(e.value), str(p)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,b\n0,nan\n1,0\n", "matrix entry (0, 1) is nan; entries must be finite"),
+    ("a,b\n0,1\n-inf,0\n", "matrix entry (1, 0) is -inf; entries must be finite"),
+    ("a,b\n0,1\n1\n", "matrix row 1 has 1 entries, expected 2"),
+])
+def test_csv_matrix_errors(tmp_path, text, message):
+    assert _csv_error(tmp_path, text)[0] == message
+
+
+@pytest.mark.parametrize("text, where", [
+    ("a,b\n0,x\n1,0\n", "row 1, column 1: 'x'"),
+    ("a,b,c\n0,1,2\n1,0,3\n2, 3 ,\n", "row 3, column 2: ''"),
+    # every cell is parsed before the shape is checked
+    ("a,b\n0\n1,x\n", "row 2, column 1: 'x'"),
+    ("a,b\n0,1e\n1,0\n", "row 1, column 1: '1e'"),
+])
+def test_csv_bad_cell_location(tmp_path, text, where):
+    message, path = _csv_error(tmp_path, text)
+    assert message == f"{path}: {where} is not a number"
+
+
+def _reference_matrix(rows) -> np.ndarray:
+    """The entry-by-entry conversion the loaders have always produced."""
+    return np.array([[v for v in row] for row in rows], dtype=float)
+
+
+def test_json_matrix_bits_match_entrywise_conversion(tmp_path):
+    rng = np.random.default_rng(7)
+    n = 40
+    rows = rng.uniform(0.0, 10.0, (n, n)).tolist()
+    specials = [0, -0.0, 5e-324, 2 ** 53 + 1, 2 ** 70, -(2 ** 63) - 1, 3, 1e300, 0.1]
+    for k, v in enumerate(specials):
+        rows[k][n - 1 - k] = v
+    for i in range(n):
+        rows[i][i] = 0
+    p = write(tmp_path, "mixed.json", json.dumps({"points": list(range(n)), "matrix": rows}))
+    space, _, _ = load_space_file(p)
+    want = _reference_matrix(json.loads(p.read_text())["matrix"])
+    assert space.dist.tobytes() == want.tobytes()
+
+
+def test_csv_matrix_bits_match_entrywise_conversion(tmp_path):
+    rng = np.random.default_rng(8)
+    n = 30
+    cells = [[repr(v) for v in row] for row in rng.uniform(0.0, 1e3, (n, n)).tolist()]
+    for k, text in enumerate(["0", "-0.0", "5e-324", " 7 ", "1E300", "9007199254740993",
+                              "0.1", "1_000", "+2.5"]):
+        cells[k][n - 1 - k] = text
+    text = ",".join(map(str, range(n))) + "\n" + "\n".join(",".join(r) for r in cells) + "\n"
+    space, _, _ = load_space_file(write(tmp_path, "m.csv", text))
+    want = _reference_matrix([[float(c) for c in row] for row in cells])
+    assert space.dist.tobytes() == want.tobytes()
