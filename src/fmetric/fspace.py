@@ -12,6 +12,7 @@ the axiom, and its maximum over pairs is the smallest admissible alpha.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Any, Callable, Optional, Sequence
@@ -22,8 +23,6 @@ from ._kernels import minplus_closure
 from .errors import DomainError, SpaceAxiomError
 from .fclass import FGenerator
 from .reports import VerificationReport
-
-_HAUSDORFF_CAP = 10 ** 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +72,10 @@ class FiniteSpace:
         return float(self.dist[self.index(x), self.index(y)])
 
     def as_array(self, points) -> np.ndarray:
-        """Points as carrier indices, the codes dists takes."""
+        """Points as carrier indices, the codes dists takes; the carrier's
+        own labels are 0..n-1 without a lookup."""
+        if points is self.labels:
+            return np.arange(self.n)
         return np.fromiter(map(self.index, points), dtype=np.intp)
 
     def dists(self, a, b) -> np.ndarray:
@@ -206,9 +208,11 @@ def min_chain_sums(space: FiniteSpace, margin: float = 0.0) -> np.ndarray:
 
     sp[i][j] <= dist[i][j] always, and each entry is the smallest
     left-to-right rounded sum over chains from i to j, bitwise (see
-    _kernels.minplus_closure). The identity and symmetry axioms must hold
-    first, within margin. The diagonal is 0 on a zero-diagonal table, but
-    a margin also admits small nonzero diagonal entries: a positive one
+    _kernels.minplus_closure, which relaxes only the rows and columns a
+    chain can still lower; a row no chain lowers is its row of dist).
+    The identity and symmetry axioms must hold first, within margin. The
+    diagonal is 0 on a zero-diagonal table, but a margin also admits
+    small nonzero diagonal entries: a positive one
     stays on the diagonal of sp (D3 reads only off-diagonal entries), and
     a negative one would let a chain loop at its point and lower every
     sum without bound, so the closure then runs on a zero diagonal.
@@ -290,8 +294,13 @@ def open_ball(space, x, r: float) -> set:
 
 def hausdorff_witness(space, x, y) -> tuple:
     """Smallest n >= 1 such that balls of radius d(x,y)/(2n) around x and
-    y are disjoint. Returns (n, radius); the balls at every radius come
-    from one row of distances per center.
+    y are disjoint. Returns (n, radius).
+
+    The balls of radius r share a point z exactly when max(d(x, z),
+    d(y, z)) < r, so they are disjoint once r <= m, the least such max
+    over the carrier, read from one row of distances per center. The
+    first n is then ceil(d/(2m)), moved by one step at a time until it is
+    the smallest n for which the float radius d/(2.0*n) is <= m.
     """
     if x == y:
         raise DomainError("need two distinct points")
@@ -302,15 +311,21 @@ def hausdorff_witness(space, x, y) -> tuple:
     for c in (x, y):
         if not space.contains(c):
             raise DomainError(f"center {c!r} is not in the carrier")
-    row_x, row_y = _distance_rows(space, [x, y], pts)
-    for n in range(1, _HAUSDORFF_CAP + 1):
-        r = dxy / (2.0 * n)
-        bx = _ball(pts, row_x, r)
-        by = _ball(pts, row_y, r)
-        if not (bx & by):
-            assert x in bx and y in by
-            return n, r
-    raise RuntimeError(f"no separating radius found within n <= {_HAUSDORFF_CAP}")
+    # a nan distance puts no point in a ball, so fmin skips it
+    m = float(np.fmin.reduce(np.maximum(*_distance_rows(space, [x, y], pts))))
+    if not m > 0:
+        raise SpaceAxiomError(
+            f"a point within distance {m} of both {x!r} and {y!r}, identity axiom broken"
+        )
+    q = dxy / (2.0 * m)
+    if not q < 2.0 ** 53:
+        raise RuntimeError(f"separating d({x!r}, {y!r})/(2n) needs n >= 2**53")
+    n = max(1, math.ceil(q))
+    while not dxy / (2.0 * n) <= m:
+        n += 1
+    while n > 1 and dxy / (2.0 * (n - 1)) <= m:
+        n -= 1
+    return n, dxy / (2.0 * n)
 
 
 def ball_base(space, x) -> list:

@@ -261,6 +261,14 @@ BALL_SPACES = {
     # ties (0.5 and -0.5 from 0) and near-ties (0.7 - 0.5 is 0.2 less an ulp)
     "line": (_line([0.0, 0.5, -0.5, 0.25, 1.0 / 3, 0.2, -0.2, 0.9, 0.01, 0.7]), None),
     "sequence": (sequence_space(N=40).space, [1, 7, 40]),
+    # d/(2m) rounds up past 7 and down to 22: the first guess ceil(d/(2m))
+    # is one too high, then one too low
+    "guess high": (FiniteSpace(("x", "y", "z"), [[0, 2.1, 0.15], [2.1, 0, 0.15], [0.15, 0.15, 0]]),
+                   None),
+    "guess low": (FiniteSpace(("x", "y", "z"), [[0, 9.0, 0.20454545454545453],
+                                                [9.0, 0, 0.20454545454545453],
+                                                [0.20454545454545453, 0.20454545454545453, 0]]),
+                  None),
 }
 
 
@@ -289,6 +297,33 @@ def test_hausdorff_witness_matches_scalar_distance_loops(space, centers):
         for y in pts:
             if x != y:
                 assert hausdorff_witness(space, x, y) == _scalar_hausdorff_witness(space, x, y)
+
+
+def test_hausdorff_witness_closed_form_steps():
+    assert hausdorff_witness(BALL_SPACES["guess high"][0], "x", "y") == (7, 2.1 / 14.0)
+    assert hausdorff_witness(BALL_SPACES["guess low"][0], "x", "y") == (23, 9.0 / 46.0)
+
+
+def test_hausdorff_witness_rejects_a_point_at_zero_from_both():
+    # no radius separates x and y when z sits at distance 0 from both
+    space = FiniteSpace(("x", "y", "z"), [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    with pytest.raises(SpaceAxiomError, match="within distance 0.0 of both 'x' and 'y'"):
+        hausdorff_witness(space, "x", "y")
+
+
+def test_balls_code_the_carrier_without_label_lookups(monkeypatch):
+    space = random_fspace(5, 10, LN)[0]
+    x = space.labels[3]
+    want = (_scalar_ball_base(space, x), [_scalar_open_ball(space, x, r) for r in (0.5, 1.0, 2.0)])
+    assert np.array_equal(space.as_array(space.labels), np.arange(10))
+    calls = []
+    index = FiniteSpace.index
+    monkeypatch.setattr(FiniteSpace, "index", lambda self, p: calls.append(p) or index(self, p))
+    got = (ball_base(space, x), [open_ball(space, x, r) for r in (0.5, 1.0, 2.0)])
+    assert got == want
+    assert calls == [x] * 4  # the center only
+    space.as_array(list(space.labels))
+    assert calls[4:] == list(space.labels)
 
 
 def test_ball_base_reads_one_distance_row(monkeypatch):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from fmetric import _kernels
-from fmetric.corpus import oscillating_orbit_space, random_metric
+from fmetric.corpus import oscillating_orbit_space, random_metric, rect_b_family, sequence_space
+from fmetric.fspace import distance_table
 
 
 def random_symmetric(seed: int, n: int) -> np.ndarray:
@@ -88,10 +89,29 @@ def permuted(m: np.ndarray, seed: int) -> np.ndarray:
     return m[np.ix_(p, p)]
 
 
+def sequence_table(N: int) -> np.ndarray:
+    space = sequence_space(N=N).space
+    return distance_table(space, space.points())
+
+
+def positive_diagonal(seed: int, n: int) -> np.ndarray:
+    """A permuted collinear table with diagonal entries a margin admits."""
+    m = permuted(collinear(seed, n), seed + 1)
+    picks = np.random.default_rng(seed + 2).choice(n, n // 3, replace=False)
+    m[picks, picks] = 1e-12
+    return m
+
+
 CLOSURE_TABLES = {
     "permuted-collinear": lambda: permuted(collinear(5, 100), 6),
     "oscillating-orbit": lambda: oscillating_orbit_space(depth=40).space.dist,
     "non-metric": lambda: random_symmetric(8, 90),
+    # the row pre-filter keeps 4 of the 12 rows
+    "rect-b": lambda: rect_b_family(10).dist,
+    # the column bound leaves fewer than a quarter of the columns to
+    # almost every pivot from the second sweep on
+    "non-metric-120": lambda: random_symmetric(8, 120),
+    "positive-diagonal": lambda: positive_diagonal(7, 80),
     "euclidean": lambda: random_metric(9, 120).dist,
     "n0": lambda: np.zeros((0, 0)),
     "n1": lambda: np.zeros((1, 1)),
@@ -110,18 +130,23 @@ def test_closure_bitwise_equal_to_jacobi_reference(name):
         assert not np.array_equal(want, dist)  # rounding shortcuts were found
 
 
-def count_sweeps(monkeypatch, dist: np.ndarray) -> int:
+def relaxed_rows(monkeypatch, dist: np.ndarray) -> list:
+    """The number of rows each sweep of the closure relaxes."""
     calls = []
     sweep = _kernels.relax_sweep
 
     def counted(sp, d, order):
-        calls.append(len(order))
+        assert len(order) == dist.shape[0]  # every sweep visits every pivot
+        calls.append(sp.shape[0])
         return sweep(sp, d, order)
 
     monkeypatch.setattr(_kernels, "relax_sweep", counted)
     _kernels.minplus_closure(dist)
-    assert all(c == dist.shape[0] for c in calls)  # every sweep visits every pivot
-    return len(calls)
+    return calls
+
+
+def count_sweeps(monkeypatch, dist: np.ndarray) -> int:
+    return len(relaxed_rows(monkeypatch, dist))
 
 
 def test_euclidean_table_takes_one_sweep(monkeypatch):
@@ -131,3 +156,44 @@ def test_euclidean_table_takes_one_sweep(monkeypatch):
 def test_collinear_table_takes_few_sweeps(monkeypatch):
     # jacobi_closure takes 26 sweeps on this table
     assert 1 < count_sweeps(monkeypatch, collinear(4, 200)) <= 4
+
+
+def test_permuted_collinear_table_takes_few_sweeps(monkeypatch):
+    # relaxed in index order, this numbering takes 12 sweeps; chain order
+    # walks the line
+    assert 1 < count_sweeps(monkeypatch, permuted(collinear(5, 200), 6)) <= 4
+
+
+def test_sequence_space_takes_no_sweep(monkeypatch):
+    # every distance is 1 + |1/i - 1/j| < 2, below any two-link chain
+    dist = sequence_table(300)
+    assert count_sweeps(monkeypatch, dist) == 0
+    assert _kernels.minplus_closure(dist).tobytes() == dist.tobytes()
+
+
+def test_pre_filter_needs_a_strictly_shorter_bound(monkeypatch):
+    # d(0, 2) = 2 only ties the two-link chain 0 -> 1 -> 2
+    line = np.abs(np.subtract.outer([0.0, 1.0, 2.0], [0.0, 1.0, 2.0]))
+    assert count_sweeps(monkeypatch, line) == 0
+
+
+def test_pre_filter_keeps_the_rows_a_chain_lowers(monkeypatch):
+    dist = rect_b_family(10).dist
+    lowered = np.flatnonzero((_kernels.minplus_closure(dist) != dist).any(axis=1))
+    assert relaxed_rows(monkeypatch, dist)[0] == lowered.size == 4
+
+
+def test_column_bound_skips_columns_at_or_above_the_column_max():
+    # a negative entry is outside the closure's domain, but it makes every
+    # candidate through pivot 0 fall below the entry it meets, so each
+    # column the pivot updates shows
+    sp = np.array([[-10.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]])
+    dist = np.full((8, 8), 2.0)
+    dist[0, :3] = [0.0, 0.5, 1.0]  # columns 0 and 2 sit at or above colmax
+    _kernels.relax_sweep(sp, dist, [0])
+    assert sp.tolist() == [[-10.0, -9.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]]
+    # with a quarter of the columns below colmax, the pivot updates whole rows
+    sp = np.array([[-10.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]])
+    dist[0, 3] = 0.5
+    _kernels.relax_sweep(sp, dist, [0])
+    assert sp.tolist() == [[-10.0, -9.5, -9.0, -9.5, -8.0, -8.0, -8.0, -8.0]]
