@@ -147,10 +147,10 @@ def cmd_verify(args) -> int:
     for r in reports:
         extra = f" (f={witness.f.name}, alpha={_fmt(witness.alpha)})" if r.axiom == "D3" else ""
         print(f"{r.axiom} {names[r.axiom]}{extra}: {'pass' if r.passed else 'FAIL'}")
-        for (pair, lhs, rhs) in r.violations[:_SHOWN_VIOLATIONS]:
+        for (pair, lhs, rhs) in r.head(_SHOWN_VIOLATIONS):
             print(f"  {_fmt(pair)}: lhs={_fmt(lhs)} rhs={_fmt(rhs)}")
-        if len(r.violations) > _SHOWN_VIOLATIONS:
-            print(f"  ... and {len(r.violations) - _SHOWN_VIOLATIONS} more")
+        if r.ii.size > _SHOWN_VIOLATIONS:
+            print(f"  ... and {r.ii.size - _SHOWN_VIOLATIONS} more")
     if not axioms_ok:
         print("D3 chain inequality: skipped (identity or symmetry failed)")
     return 0 if passed else 1

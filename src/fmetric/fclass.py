@@ -20,18 +20,13 @@ from .reports import PropertyReport
 _SMALLEST = 2.0 ** -200  # deepest grid point probed toward 0
 
 
-def _eval_positive(fn, name, t):
+def _eval_from(fn, name, t, positive: bool):
+    """fn on t > 0 (positive) or on t >= 0: a float for a scalar t, an
+    array for an array."""
     arr = np.asarray(t, dtype=float)
-    if np.any(arr <= 0):
-        raise DomainError(f"{name} is defined on t > 0, got {arr.min() if arr.size else t}")
-    out = fn(arr)
-    return float(out) if np.ndim(t) == 0 else out
-
-
-def _eval_nonnegative(fn, name, t):
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError(f"{name} is defined on t >= 0, got {arr.min() if arr.size else t}")
+    if np.any(arr <= 0 if positive else arr < 0):
+        bound = "t > 0" if positive else "t >= 0"
+        raise DomainError(f"{name} is defined on {bound}, got {arr.min() if arr.size else t}")
     out = fn(arr)
     return float(out) if np.ndim(t) == 0 else out
 
@@ -49,7 +44,7 @@ class FGenerator:
     class_f: bool = True
 
     def eval(self, t):
-        return _eval_positive(self.fn, self.name, t)
+        return _eval_from(self.fn, self.name, t, positive=True)
 
     __call__ = eval
 
@@ -62,7 +57,7 @@ class AlteringDistance:
     fn: Callable = field(repr=False)
 
     def eval(self, t):
-        return _eval_nonnegative(self.fn, self.name, t)
+        return _eval_from(self.fn, self.name, t, positive=False)
 
     __call__ = eval
 

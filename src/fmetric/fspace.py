@@ -172,20 +172,15 @@ def check_identity_symmetry(space: FiniteSpace, margin: float = 0.0):
     first, then in row-major order.
     """
     m = space.dist
-    lab = space.labels
     diag = np.flatnonzero(np.abs(np.diagonal(m)) > margin)
     off_i, off_j = np.nonzero((m <= margin) & ~np.eye(space.n, dtype=bool))
-    id_viol = [((lab[i], lab[i]), float(m[i, i]), 0.0) for i in diag]
-    id_viol += [((lab[i], lab[j]), float(m[i, j]), 0.0) for i, j in zip(off_i, off_j)]
+    id_i, id_j = np.concatenate([diag, off_i]), np.concatenate([diag, off_j])
     sym_i, sym_j = np.nonzero(np.triu(np.abs(m - m.T) > margin, 1))
-    sym_viol = [
-        ((lab[i], lab[j]), float(m[i, j]), float(m[j, i])) for i, j in zip(sym_i, sym_j)
-    ]
-    if not id_viol and not sym_viol:
+    if not id_i.size and not sym_i.size:
         space._axioms_hold.add(margin)
     return [
-        VerificationReport(axiom="D1", passed=not id_viol, violations=id_viol),
-        VerificationReport(axiom="D2", passed=not sym_viol, violations=sym_viol),
+        VerificationReport("D1", space.labels, id_i, id_j, m[id_i, id_j], np.zeros(id_i.size)),
+        VerificationReport("D2", space.labels, sym_i, sym_j, m[sym_i, sym_j], m[sym_j, sym_i]),
     ]
 
 
@@ -199,7 +194,7 @@ def _require_identity_symmetry(space: FiniteSpace, margin: float):
     if bad:
         first = bad[0]
         raise SpaceAxiomError(
-            f"axiom {first.axiom} fails, first violation {first.violations[0]}"
+            f"axiom {first.axiom} fails, first violation {first.head(1)[0]}"
         )
 
 
@@ -225,16 +220,14 @@ def min_chain_sums(space: FiniteSpace, margin: float = 0.0) -> np.ndarray:
     return minplus_closure(dist)
 
 
-def _d3_slack(space: FiniteSpace, f: FGenerator, margin: float = 0.0):
-    """Off-diagonal slack matrix f(dist) - f(min chain sum)."""
+def _d3_sides(space: FiniteSpace, f: FGenerator, margin: float = 0.0):
+    """f(dist) and f(min chain sum), with f(1) on both diagonals, so that
+    the slack f(dist) - f(min chain sum) is 0 there."""
     sp = min_chain_sums(space, margin)
-    n = space.n
-    off = ~np.eye(n, dtype=bool)
-    fd = np.zeros_like(space.dist)
-    fs = np.zeros_like(space.dist)
-    fd[off] = f.eval(space.dist[off])
-    fs[off] = f.eval(sp[off])
-    return fd - fs, sp, off
+    dist = space.dist.copy()
+    np.fill_diagonal(dist, 1.0)
+    np.fill_diagonal(sp, 1.0)
+    return f.eval(dist), f.eval(sp)
 
 
 def verify_D3(space: FiniteSpace, w: Witness, margin: float = 0.0) -> VerificationReport:
@@ -244,23 +237,16 @@ def verify_D3(space: FiniteSpace, w: Witness, margin: float = 0.0) -> Verificati
     (+ margin). Evaluating the slack with the same float subtraction
     used by min_alpha makes the two operations exactly consistent.
     """
-    slack, sp, _ = _d3_slack(space, w.f, margin)
+    fd, fs = _d3_sides(space, w.f, margin)
     # d and sp are symmetric, so the pairs i < j suffice, in row-major order
-    ii, jj = np.nonzero(np.triu(slack > w.alpha + margin, 1))
-    lhs = w.f.eval(space.dist[ii, jj]).tolist()
-    rhs = (w.f.eval(sp[ii, jj]) + w.alpha).tolist()
-    lab = space.labels
-    violations = [
-        ((lab[i], lab[j]), a, b) for i, j, a, b in zip(ii.tolist(), jj.tolist(), lhs, rhs)
-    ]
-    return VerificationReport(axiom="D3", passed=not violations, violations=violations)
+    ii, jj = np.nonzero(np.triu(fd - fs > w.alpha + margin, 1))
+    return VerificationReport("D3", space.labels, ii, jj, fd[ii, jj], fs[ii, jj] + w.alpha)
 
 
 def min_alpha(space: FiniteSpace, f: FGenerator) -> float:
     """Smallest alpha >= 0 for which verify_D3 passes with generator f."""
-    slack, _, off = _d3_slack(space, f)
-    worst = float(slack[off].max()) if space.n > 1 else 0.0
-    return max(0.0, worst)
+    fd, fs = _d3_sides(space, f)
+    return max(0.0, float((fd - fs).max(initial=0.0)))
 
 
 def alpha_divergence_profile(

@@ -1,8 +1,11 @@
 """Report dataclasses shared across the checking modules.
 
-Conventions: `passed` is the overall verdict, `violations` lists the
-offending items in evaluation order, and numeric fields are plain floats
-so reports serialize to JSON without surprises.
+Conventions: `passed` is the overall verdict and `violations` lists the
+offending items in evaluation order. VerificationReport keeps its
+violations as numpy index and value columns and builds per-pair tuples
+or JSON records only when they are read; the other reports hold plain
+Python values. Every to_dict returns plain JSON data (non-finite floats
+as the strings "inf", "-inf" and "nan").
 """
 from __future__ import annotations
 
@@ -11,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
+
+import numpy as np
 
 
 def _jsonable(value):
@@ -29,6 +34,13 @@ def _jsonable(value):
         except Exception:
             pass
     return value
+
+
+def _floats(values: np.ndarray) -> list:
+    """_jsonable of each entry of a float array, mapped only when one is
+    not finite."""
+    out = values.tolist()
+    return out if np.isfinite(values).all() else [_jsonable(v) for v in out]
 
 
 def dumps(doc) -> str:
@@ -151,25 +163,45 @@ class PropertyReport:
         }
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
     """Outcome of one distance-axiom check on a finite space.
 
-    Each violation is (point pair, lhs value, rhs value), where lhs is the
-    observed quantity and rhs the bound it had to satisfy.
+    The violations are stored as columns, one entry each, in violation
+    order: the pair (labels[ii[k]], labels[jj[k]]), the observed value
+    lhs[k] and the bound rhs[k] it had to satisfy.
     """
 
     axiom: str
-    passed: bool
-    violations: list = field(default_factory=list)
+    labels: tuple
+    ii: np.ndarray
+    jj: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+
+    @property
+    def passed(self) -> bool:
+        return self.ii.size == 0
+
+    def head(self, count=None) -> list:
+        """The first count violations (all when None) as
+        ((x_i, x_j), lhs, rhs) tuples of labels and floats."""
+        lab = self.labels
+        cols = (c[:count].tolist() for c in (self.ii, self.jj, self.lhs, self.rhs))
+        return [((lab[i], lab[j]), a, b) for i, j, a, b in zip(*cols)]
+
+    violations = property(head, doc="Every violation, as head() lists them, built when read.")
 
     def to_dict(self) -> dict:
+        lab = [_jsonable(x) for x in self.labels] if self.ii.size else []
         return {
             "axiom": self.axiom,
             "passed": self.passed,
             "violations": [
-                {"pair": _jsonable(list(pair)), "lhs": _jsonable(lhs), "rhs": _jsonable(rhs)}
-                for pair, lhs, rhs in self.violations
+                {"pair": [lab[i], lab[j]], "lhs": a, "rhs": b}
+                for i, j, a, b in zip(
+                    self.ii.tolist(), self.jj.tolist(), _floats(self.lhs), _floats(self.rhs)
+                )
             ],
         }
 

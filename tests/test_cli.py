@@ -371,3 +371,42 @@ def test_verify_integer_too_large_for_a_float_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--input", str(p), "--alpha", "0")
     assert code == 2 and out == ""
     assert err == "error: matrix entry (0, 1) is an integer too large for a float\n"
+
+
+def _expected_listing(reports, f_name, alpha) -> str:
+    from fmetric.cli import _fmt
+
+    names = {"D1": "identity", "D2": "symmetry", "D3": "chain inequality"}
+    lines = []
+    for r in reports:
+        extra = f" (f={f_name}, alpha={_fmt(alpha)})" if r.axiom == "D3" else ""
+        lines.append(f"{r.axiom} {names[r.axiom]}{extra}: FAIL")
+        viol = r.violations
+        assert len(viol) > 5
+        lines += [f"  {_fmt(pair)}: lhs={_fmt(lhs)} rhs={_fmt(rhs)}" for pair, lhs, rhs in viol[:5]]
+        lines.append(f"  ... and {len(viol) - 5} more")
+    return "\n".join(lines) + "\n"
+
+
+def test_verify_text_lists_the_first_five_violations_and_counts_the_rest(capsys, tmp_path):
+    import numpy as np
+
+    from fmetric import FiniteSpace, Witness, check_identity_symmetry, lookup_function, random_fspace, verify_D3
+
+    labels = [f"p{k}" for k in range(8)]
+    broken = np.random.default_rng(4).uniform(-0.5, 1.0, (8, 8))  # fails D1 and D2 everywhere
+    p = tmp_path / "broken.json"
+    p.write_text(json.dumps({"points": labels, "matrix": broken.tolist()}))
+    code, out, _ = run(capsys, "verify", "--input", str(p), "--alpha", "0")
+    want = _expected_listing(check_identity_symmetry(FiniteSpace(tuple(labels), broken)), "ln", 0.0)
+    assert code == 1
+    assert out == want + "D3 chain inequality: skipped (identity or symmetry failed)\n"
+
+    ln = lookup_function("ln", "generator")
+    table = random_fspace(7, 30, ln)[0].dist
+    p = tmp_path / "non_metric.json"
+    p.write_text(json.dumps({"points": list(range(30)), "matrix": table.tolist()}))
+    code, out, _ = run(capsys, "verify", "--input", str(p), "--alpha", "0")
+    d3 = verify_D3(FiniteSpace(tuple(range(30)), table), Witness(ln, 0.0))
+    assert code == 1
+    assert out == "D1 identity: pass\nD2 symmetry: pass\n" + _expected_listing([d3], "ln", 0.0)

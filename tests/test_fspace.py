@@ -25,7 +25,6 @@ from fmetric import (
     sequence_space,
     verify_D3,
 )
-from fmetric.fspace import _d3_slack
 
 LN = lookup_function("ln", "generator")
 
@@ -392,15 +391,16 @@ def test_identity_symmetry_matches_loop_reference_in_order(margin):
 
 
 def _loop_verify_D3(space, w, margin):
-    """Pair-by-pair reference for verify_D3's violation list."""
-    slack, sp, _ = _d3_slack(space, w.f, margin)
+    """Pair-by-pair reference for verify_D3's violation list: f evaluated
+    on one distance and one minimal chain sum at a time."""
+    sp = min_chain_sums(space, margin)
     violations = []
     for i in range(space.n):
         for j in range(i + 1, space.n):
-            if slack[i, j] > w.alpha + margin:
-                lhs = float(w.f.eval(space.dist[i, j]))
-                rhs = float(w.f.eval(sp[i, j]) + w.alpha)
-                violations.append(((space.labels[i], space.labels[j]), lhs, rhs))
+            lhs = float(w.f.eval(space.dist[i, j]))
+            fs = float(w.f.eval(sp[i, j]))
+            if lhs - fs > w.alpha + margin:
+                violations.append(((space.labels[i], space.labels[j]), lhs, fs + w.alpha))
     return violations
 
 

@@ -127,3 +127,52 @@ def test_structured_verify_with_broken_axioms_and_string_labels(capsys, tmp_path
     monkeypatch.setattr(cli, "dumps", lambda doc: docs.append(doc) or reference(doc))
     assert cli.main(["verify", "--input", str(p), "--alpha", "0", "--output", "structured"]) == 1
     assert dumps(docs[0]) == capsys.readouterr().out.rstrip("\n")
+
+
+def _parent_to_dict(report) -> dict:
+    """The dict built violation by violation from the per-pair view."""
+    return {
+        "axiom": report.axiom,
+        "passed": report.passed,
+        "violations": [
+            {"pair": _jsonable(list(pair)), "lhs": _jsonable(lhs), "rhs": _jsonable(rhs)}
+            for pair, lhs, rhs in report.violations
+        ],
+    }
+
+
+# ints, floats (one of them inf, as a CSV header cell "inf" parses), strings
+# and numpy scalars
+MIXED_LABELS = (0, 2.5, float("inf"), "a\"b", np.int64(7), np.float64(-1.25), np.str_("z"), 3)
+
+
+def _verification_reports():
+    from fmetric import FiniteSpace, Witness, check_identity_symmetry, lookup_function, verify_D3
+
+    n = len(MIXED_LABELS)
+    broken = np.random.default_rng(2).uniform(-0.5, 1.0, (n, n))
+    reports = check_identity_symmetry(FiniteSpace(MIXED_LABELS, broken))
+    table = np.random.default_rng(3).uniform(0.1, 10.0, (n, n))
+    table = np.triu(table, 1) + np.triu(table, 1).T
+    space = FiniteSpace(MIXED_LABELS, table)
+    reports.append(verify_D3(space, Witness(lookup_function("ln", "generator"), 0.0)))
+    reports += check_identity_symmetry(space)  # violation-free D1 and D2
+    # neg_inv of a chain sum of 1e-323 overflows to -inf, so rhs is -inf
+    tiny = np.array([[0.0, 1.0, 5e-324], [1.0, 0.0, 5e-324], [5e-324, 5e-324, 0.0]])
+    tiny_space = FiniteSpace((float("inf"), "b", np.int64(2)), tiny)
+    reports.append(verify_D3(tiny_space, Witness(lookup_function("neg_inv", "generator"), 0.0)))
+    return reports
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_verification_to_dict_equals_the_per_violation_construction():
+    reports = _verification_reports()
+    assert [r.axiom for r in reports] == ["D1", "D2", "D3", "D1", "D2", "D3"]
+    assert [r.passed for r in reports] == [False, False, False, True, True, False]
+    assert reports[-1].violations == [((float("inf"), "b"), -1.0, float("-inf"))]
+    for r in reports:
+        got, want = r.to_dict(), _parent_to_dict(r)
+        assert got == want
+        assert json.dumps(got) == json.dumps(want)
+        assert dumps(got) == reference(want)
