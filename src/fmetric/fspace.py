@@ -236,11 +236,17 @@ def verify_D3(space: FiniteSpace, w: Witness, margin: float = 0.0) -> Verificati
     The pair (x, y) passes iff f(d(x,y)) - f(minimal chain sum) <= alpha
     (+ margin). Evaluating the slack with the same float subtraction
     used by min_alpha makes the two operations exactly consistent.
+    Chain sums from x to y and from y to x can round apart, so each pair
+    i < j is decided on the larger of its two slacks, as min_alpha reads
+    both, and is reported once, in row-major order, with the lhs and rhs
+    of that direction (i to j on a tie).
     """
     fd, fs = _d3_sides(space, w.f, margin)
-    # d and sp are symmetric, so the pairs i < j suffice, in row-major order
-    ii, jj = np.nonzero(np.triu(fd - fs > w.alpha + margin, 1))
-    return VerificationReport("D3", space.labels, ii, jj, fd[ii, jj], fs[ii, jj] + w.alpha)
+    slack = fd - fs
+    ii, jj = np.nonzero(np.triu(np.maximum(slack, slack.T) > w.alpha + margin, 1))
+    back = slack[jj, ii] > slack[ii, jj]
+    ri, rj = np.where(back, jj, ii), np.where(back, ii, jj)
+    return VerificationReport("D3", space.labels, ii, jj, fd[ri, rj], fs[ri, rj] + w.alpha)
 
 
 def min_alpha(space: FiniteSpace, f: FGenerator) -> float:

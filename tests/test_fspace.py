@@ -392,15 +392,19 @@ def test_identity_symmetry_matches_loop_reference_in_order(margin):
 
 def _loop_verify_D3(space, w, margin):
     """Pair-by-pair reference for verify_D3's violation list: f evaluated
-    on one distance and one minimal chain sum at a time."""
+    on one distance and one minimal chain sum at a time, each pair i < j
+    decided on the direction of its larger slack, i to j on a tie."""
     sp = min_chain_sums(space, margin)
     violations = []
     for i in range(space.n):
         for j in range(i + 1, space.n):
-            lhs = float(w.f.eval(space.dist[i, j]))
-            fs = float(w.f.eval(sp[i, j]))
-            if lhs - fs > w.alpha + margin:
-                violations.append(((space.labels[i], space.labels[j]), lhs, fs + w.alpha))
+            sides = []
+            for a, b in ((i, j), (j, i)):
+                lhs, fs = float(w.f.eval(space.dist[a, b])), float(w.f.eval(sp[a, b]))
+                sides.append((lhs - fs, lhs, fs + w.alpha))
+            slack, lhs, rhs = max(sides, key=lambda side: side[0])
+            if slack > w.alpha + margin:
+                violations.append(((space.labels[i], space.labels[j]), lhs, rhs))
     return violations
 
 
@@ -493,3 +497,21 @@ def test_nonnegative_diagonal_reaches_the_closure_uncopied(monkeypatch):
 def test_positive_diagonal_within_margin_stays_on_the_closure_diagonal():
     space = FiniteSpace(labels=(0, 1), dist=[[1e-12, 1.0], [1.0, 0.0]])
     assert min_chain_sums(space, 1e-9).diagonal().tolist() == [1e-12, 0.0]
+
+
+D3_THRESHOLD_SPACES = {
+    "orbit-200": lambda: oscillating_orbit_space(depth=200).space,
+    "rect-b-10": lambda: rect_b_family(10),
+    "non-metric": lambda: random_fspace(23, 60, LN)[0],
+}
+
+
+@pytest.mark.parametrize("name", D3_THRESHOLD_SPACES)
+def test_verify_D3_passes_at_min_alpha_and_fails_just_below(name):
+    # the closure is not symmetric on the orbit: at depth 200 the larger
+    # slack of many pairs lies in the direction j -> i
+    space = D3_THRESHOLD_SPACES[name]()
+    a = min_alpha(space, LN)
+    assert a > 0
+    assert verify_D3(space, Witness(LN, a)).passed
+    assert not verify_D3(space, Witness(LN, float(np.nextafter(a, 0.0)))).passed
