@@ -115,9 +115,12 @@ class AnalyticSpace:
 
     def d(self, x, y):
         """d(x, y) as a float, or elementwise as a float array when the
-        rule returns an array."""
-        r = self.dist_rule(x, y)
-        return np.asarray(r, dtype=float) if isinstance(r, np.ndarray) else float(r)
+        rule returns an array; a DomainError past the float range."""
+        try:
+            r = self.dist_rule(x, y)
+            return np.asarray(r, dtype=float) if isinstance(r, np.ndarray) else float(r)
+        except OverflowError as e:
+            raise DomainError(f"distance beyond the float range: {e}") from None
 
     def as_array(self, points) -> np.ndarray:
         """Points as an array for d: floats, or basis indices as int64

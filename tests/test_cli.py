@@ -410,3 +410,16 @@ def test_verify_text_lists_the_first_five_violations_and_counts_the_rest(capsys,
     d3 = verify_D3(FiniteSpace(tuple(range(30)), table), Witness(ln, 0.0))
     assert code == 1
     assert out == "D1 identity: pass\nD2 symmetry: pass\n" + _expected_listing([d3], "ln", 0.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--example", "sequence-space", "--x0", "1"],
+    ["check", "orbital-kannan", "--example", "sequence-space", "--x0", "1", "--count", "700"],
+    ["check", "shift", "--example", "sequence-space", "--x0", "1", "--horizon", "700"],
+], ids=["solve", "orbital-kannan", "shift"])
+def test_distance_beyond_the_float_range_exit_2(capsys, argv):
+    # the orbit 3**k of T(i) = 3i passes the float range near step 646, where
+    # the distance rule's 1.0 / i overflows
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: distance beyond the float range: int too large to convert to float\n"
