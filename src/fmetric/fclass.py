@@ -21,8 +21,7 @@ _SMALLEST = 2.0 ** -200  # deepest grid point probed toward 0
 
 
 def _eval_from(fn, name, t, positive: bool):
-    """fn on t > 0 (positive) or on t >= 0: a float for a scalar t, an
-    array for an array."""
+    """fn on t > 0 (positive) or t >= 0; a float for a scalar t."""
     arr = np.asarray(t, dtype=float)
     if np.any(arr <= 0 if positive else arr < 0):
         bound = "t > 0" if positive else "t >= 0"
@@ -106,11 +105,8 @@ def check_F1(f: FGenerator, lo: float = 1e-8, hi: float = 1e8, n: int = 400) -> 
         raise ValueError("need at least two grid points")
     grid = np.geomspace(lo, hi, n)
     vals = f.eval(grid)
-    failures = []
-    for i in range(n - 1):
-        if vals[i + 1] < vals[i]:
-            failures.append({"t": (grid[i], grid[i + 1]), "f": (vals[i], vals[i + 1])})
-            break
+    first = np.flatnonzero(vals[1:] < vals[:-1])[:1]
+    failures = [{"t": (grid[i], grid[i + 1]), "f": (vals[i], vals[i + 1])} for i in first]
     return PropertyReport(
         name=f"F1({f.name})",
         passed=not failures,

@@ -192,13 +192,9 @@ def _require_identity_symmetry(space: FiniteSpace, margin: float):
     passed check_identity_symmetry at this margin is not checked again."""
     if margin in space._axioms_hold:
         return
-    reports = check_identity_symmetry(space, margin)
-    bad = [r for r in reports if not r.passed]
-    if bad:
-        first = bad[0]
-        raise SpaceAxiomError(
-            f"axiom {first.axiom} fails, first violation {first.head(1)[0]}"
-        )
+    for r in check_identity_symmetry(space, margin):
+        if not r.passed:
+            raise SpaceAxiomError(f"axiom {r.axiom} fails, first violation {r.head(1)[0]}")
 
 
 def min_chain_sums(space: FiniteSpace, margin: float = 0.0) -> np.ndarray:
@@ -237,12 +233,10 @@ def verify_D3(space: FiniteSpace, w: Witness, margin: float = 0.0) -> Verificati
     """Chain axiom for witness (f, alpha), decided in slack form.
 
     The pair (x, y) passes iff f(d(x,y)) - f(minimal chain sum) <= alpha
-    (+ margin). Evaluating the slack with the same float subtraction
-    used by min_alpha makes the two operations exactly consistent.
-    Chain sums from x to y and from y to x can round apart, so each pair
-    i < j is decided on the larger of its two slacks, as min_alpha reads
-    both, and is reported once, in row-major order, with the lhs and rhs
-    of that direction (i to j on a tie).
+    (+ margin) in both directions, whose chain sums can round apart; the
+    float subtraction min_alpha uses keeps the two exactly consistent. A
+    failing pair i < j is listed once, in row-major order, with lhs and
+    rhs of its larger slack (i to j on a tie).
     """
     fd, fs = _d3_sides(space, w.f, margin)
     slack = fd - fs

@@ -1,11 +1,8 @@
 """Report dataclasses shared across the checking modules.
 
 Conventions: `passed` is the overall verdict and `violations` lists the
-offending items in evaluation order. VerificationReport keeps its
-violations as numpy index and value columns and builds per-pair tuples
-or JSON records only when they are read; the other reports hold plain
-Python values. Every to_dict returns plain JSON data (non-finite floats
-as the strings "inf", "-inf" and "nan").
+offending items in evaluation order. VerificationReport stores them as
+index and value arrays; every to_dict returns plain JSON data.
 """
 from __future__ import annotations
 
@@ -34,13 +31,6 @@ def _jsonable(value):
         except Exception:
             pass
     return value
-
-
-def _floats(values: np.ndarray) -> list:
-    """_jsonable of each entry of a float array, mapped only when one is
-    not finite."""
-    out = values.tolist()
-    return out if np.isfinite(values).all() else [_jsonable(v) for v in out]
 
 
 def dumps(doc) -> str:
@@ -167,9 +157,8 @@ class PropertyReport:
 class VerificationReport:
     """Outcome of one distance-axiom check on a finite space.
 
-    The violations are stored as columns, one entry each, in violation
-    order: the pair (labels[ii[k]], labels[jj[k]]), the observed value
-    lhs[k] and the bound rhs[k] it had to satisfy.
+    Violation k is the pair (labels[ii[k]], labels[jj[k]]), the observed
+    value lhs[k] and the bound rhs[k] it had to satisfy, in check order.
     """
 
     axiom: str
@@ -186,23 +175,21 @@ class VerificationReport:
     def head(self, count=None) -> list:
         """The first count violations (all when None) as
         ((x_i, x_j), lhs, rhs) tuples of labels and floats."""
-        lab = self.labels
         cols = (c[:count].tolist() for c in (self.ii, self.jj, self.lhs, self.rhs))
-        return [((lab[i], lab[j]), a, b) for i, j, a, b in zip(*cols)]
+        return [((self.labels[i], self.labels[j]), a, b) for i, j, a, b in zip(*cols)]
 
     violations = property(head, doc="Every violation, as head() lists them, built when read.")
 
     def to_dict(self) -> dict:
         lab = [_jsonable(x) for x in self.labels] if self.ii.size else []
+        # of a float, _jsonable changes only inf and nan
+        lhs, rhs = (c.tolist() if np.isfinite(c).all() else _jsonable(c.tolist())
+                    for c in (self.lhs, self.rhs))
+        rows = zip(self.ii.tolist(), self.jj.tolist(), lhs, rhs)
         return {
             "axiom": self.axiom,
             "passed": self.passed,
-            "violations": [
-                {"pair": [lab[i], lab[j]], "lhs": a, "rhs": b}
-                for i, j, a, b in zip(
-                    self.ii.tolist(), self.jj.tolist(), _floats(self.lhs), _floats(self.rhs)
-                )
-            ],
+            "violations": [{"pair": [lab[i], lab[j]], "lhs": a, "rhs": b} for i, j, a, b in rows],
         }
 
 
