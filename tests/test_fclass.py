@@ -86,6 +86,12 @@ def test_F1_accepts_registered_generators():
         assert rep.checked > 0
 
 
+def test_F1_accepts_flat_steps():
+    # non-decreasing allows equal neighbours; only a strict drop fails
+    steps = FGenerator(name="floor_log", fn=lambda t: np.floor(np.log(t)))
+    assert check_F1(steps).passed
+
+
 def test_F1_rejects_decreasing():
     dec = FGenerator(name="flip", fn=lambda t: -np.asarray(t, dtype=float))
     rep = check_F1(dec)
