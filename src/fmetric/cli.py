@@ -58,33 +58,23 @@ def _materialize(space) -> FiniteSpace:
     return FiniteSpace(labels=pts, dist=distance_table(space, pts))
 
 
-def _builder_params(args) -> dict:
-    params = {}
-    for key in ("n", "depth", "N"):
-        v = getattr(args, key, None)
-        if v is not None:
-            params[key] = v
-    return params
-
-
-def _load_input(args):
-    """Resolve --input/--example to (space, witness, map, phi, origin string).
-
-    phi is the example's altering distance; files carry none.
-    """
-    if getattr(args, "input", None):
-        space, witness, T = load_space_file(args.input)
-        return space, witness, T, None, args.input
-    ex = corpus.build_example(args.example, **_builder_params(args))
-    return ex.space, ex.witness, ex.map, ex.phi, ex.id
+def _load_input(args) -> corpus.NamedExample:
+    """--input or --example as one example; a file's id is its path, and
+    it carries no altering distance. Size flags size an example only."""
+    sizes = {k: getattr(args, k) for k in ("n", "depth", "N") if getattr(args, k) is not None}
+    if args.input is None:
+        return corpus.build_example(args.example, **sizes)
+    if sizes:
+        raise DomainError(f"--{next(iter(sizes))} sizes a bundled example, not an --input file")
+    space, witness, T = load_space_file(args.input)
+    return corpus.NamedExample(args.input, "space file", space, T, witness=witness)
 
 
 def _parse_point(text: str, space):
     """Parse an x0 argument ("2", "0.25", "7/3") into a carrier point.
 
-    Finite spaces snap numeric values to the nearest label when it is
-    within 1e-9, since decimal input cannot always spell a stored float
-    exactly. Basis-index carriers require integers.
+    Finite spaces snap numeric values to the nearest label (see
+    FiniteSpace.nearest_label). Basis-index carriers require integers.
     """
     if isinstance(space, FiniteSpace) and space.contains(text):
         return text
@@ -98,11 +88,10 @@ def _parse_point(text: str, space):
         return int(frac)
     val = float(frac)
     if isinstance(space, FiniteSpace):
-        numeric = [lab for lab in space.labels if isinstance(lab, (int, float))]
-        if not numeric:
+        best, within = space.nearest_label(val)
+        if best is None:
             raise DomainError(f"carrier has no numeric points to match {text!r}")
-        best = min(numeric, key=lambda lab: abs(lab - val))
-        if abs(best - val) > 1e-9:
+        if not within:
             raise DomainError(
                 f"{text!r} is not in the carrier (nearest point {best!r})"
             )
@@ -124,25 +113,26 @@ def _resolve_witness(args, file_witness) -> Witness:
     return Witness(f, float(alpha))
 
 
-def cmd_verify(args) -> int:
-    space, file_witness, _, _, origin = _load_input(args)
-    space = _materialize(space)
-    witness = _resolve_witness(args, file_witness)
+# Each cmd_* returns (passed, body). In structured mode body holds the
+# document's fields after "command" and "passed", which main adds; in
+# text mode the command prints its text form and returns no body.
+
+def cmd_verify(args) -> tuple:
+    ex = _load_input(args)
+    space = _materialize(ex.space)
+    witness = _resolve_witness(args, ex.witness)
     reports = check_identity_symmetry(space, margin=args.margin)
     axioms_ok = all(r.passed for r in reports)
     if axioms_ok:
         reports.append(_verify_D3(space, witness, margin=args.margin))
     passed = all(r.passed for r in reports)
     if args.output == "structured":
-        _emit_json({
-            "command": "verify",
-            "passed": passed,
-            "input": origin,
+        return passed, {
+            "input": ex.id,
             "f": witness.f.name,
             "alpha": witness.alpha,
             "axioms": [r.to_dict() for r in reports],
-        })
-        return 0 if passed else 1
+        }
     names = {"D1": "identity", "D2": "symmetry", "D3": "chain inequality"}
     for r in reports:
         extra = f" (f={witness.f.name}, alpha={_fmt(witness.alpha)})" if r.axiom == "D3" else ""
@@ -153,37 +143,29 @@ def cmd_verify(args) -> int:
             print(f"  ... and {r.ii.size - _SHOWN_VIOLATIONS} more")
     if not axioms_ok:
         print("D3 chain inequality: skipped (identity or symmetry failed)")
-    return 0 if passed else 1
+    return passed, None
 
 
-def cmd_min_alpha(args) -> int:
-    space, _, _, _, origin = _load_input(args)
-    space = _materialize(space)
+def cmd_min_alpha(args) -> tuple:
+    ex = _load_input(args)
+    space = _materialize(ex.space)
     f = lookup_function(args.f, "generator")
     value = min_alpha(space, f)
     if args.output == "structured":
-        _emit_json({
-            "command": "min-alpha",
-            "passed": True,
-            "input": origin,
-            "f": f.name,
-            "min_alpha": value,
-        })
-    else:
-        print(_fmt(value))
-    return 0
+        return True, {"input": ex.id, "f": f.name, "min_alpha": value}
+    print(_fmt(value))
+    return True, None
 
 
-def cmd_solve(args) -> int:
-    space, _, T, _, origin = _load_input(args)
-    if T is None:
-        raise DomainError(f"{origin} carries no map; solve needs one")
-    x0 = _parse_point(args.x0, space)
-    rep = solver.picard(space, T, x0, tol=args.tol, max_iter=args.max_iter)
+def cmd_solve(args) -> tuple:
+    ex = _load_input(args)
+    if ex.map is None:
+        raise DomainError(f"{ex.id} carries no map; solve needs one")
+    x0 = _parse_point(args.x0, ex.space)
+    rep = solver.picard(ex.space, ex.map, x0, tol=args.tol, max_iter=args.max_iter)
     passed = rep.status == solver.STATUS_CONVERGED
     if args.output == "structured":
-        _emit_json({"command": "solve", "passed": passed, "input": origin, **rep.to_dict()})
-        return 0 if passed else 1
+        return passed, {"input": ex.id, **rep.to_dict()}
     print(f"status: {rep.status}")
     print(f"iterations: {rep.iterations}")
     if rep.fixed_point is not None:
@@ -192,7 +174,7 @@ def cmd_solve(args) -> int:
         print(f"residual: {_fmt(rep.residual)}")
     if rep.cycle:
         print(f"cycle: {_fmt(tuple(rep.cycle))}")
-    return 0 if passed else 1
+    return passed, None
 
 
 def _make_sample(args, space) -> conditions.PairSample:
@@ -203,14 +185,15 @@ def _make_sample(args, space) -> conditions.PairSample:
     return conditions.grid_pairs(space, args.pairs)
 
 
-def cmd_check(args) -> int:
-    space, _, T, ex_phi, origin = _load_input(args)
+def cmd_check(args) -> tuple:
+    ex = _load_input(args)
+    space, T = ex.space, ex.map
     if T is None:
-        raise DomainError(f"{origin} carries no map; check needs one")
+        raise DomainError(f"{ex.id} carries no map; check needs one")
     if args.phi is not None:
         phi = lookup_function(args.phi, "altering")
     else:
-        phi = ex_phi or lookup_function("id", "altering")
+        phi = ex.phi or lookup_function("id", "altering")
     if args.condition == "edelstein":
         rep = conditions.edelstein_check(space, T, phi, _make_sample(args, space))
     elif args.condition == "kannan":
@@ -229,8 +212,7 @@ def cmd_check(args) -> int:
             horizon=args.horizon,
         )
     if args.output == "structured":
-        _emit_json({"command": "check", "passed": rep.passed, "input": origin, **rep.to_dict()})
-        return 0 if rep.passed else 1
+        return rep.passed, {"input": ex.id, **rep.to_dict()}
     print(f"condition: {rep.condition}")
     print(f"sample: {rep.source}")
     print(f"checked: {rep.checked}")
@@ -240,20 +222,17 @@ def cmd_check(args) -> int:
         print("  " + " ".join(f"{k}={_fmt(val)}" for k, val in v.items()))
     if len(rep.violations) > _SHOWN_VIOLATIONS:
         print(f"  ... and {len(rep.violations) - _SHOWN_VIOLATIONS} more")
-    return 0 if rep.passed else 1
+    return rep.passed, None
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args) -> tuple:
     rows = corpus.reproduce(args.example_id)
     passed = all(ok for _, ok, _ in rows)
     if args.output == "structured":
-        _emit_json({
-            "command": "reproduce",
-            "passed": passed,
+        return passed, {
             "example": args.example_id,
             "checks": [{"name": n, "passed": ok, "detail": d} for n, ok, d in rows],
-        })
-        return 0 if passed else 1
+        }
     for name, ok, detail in rows:
         line = f"{'PASS' if ok else 'FAIL'}  {name}"
         if detail:
@@ -261,26 +240,19 @@ def cmd_reproduce(args) -> int:
         print(line)
     done = sum(1 for _, ok, _ in rows if ok)
     print(f"{done}/{len(rows)} expectations hold")
-    return 0 if passed else 1
+    return passed, None
 
 
-def cmd_profile_alpha(args) -> int:
+def cmd_profile_alpha(args) -> tuple:
     if args.from_n < 2 or args.from_n > args.to_n:
-        print(f"error: bad range {args.from_n}..{args.to_n} (need 2 <= from <= to)", file=sys.stderr)
-        return 2
+        raise DomainError(f"bad range {args.from_n}..{args.to_n} (need 2 <= from <= to)")
     f = lookup_function(args.f, "generator")
     rows = alpha_divergence_profile(corpus.rect_b_family, f, (args.from_n, args.to_n))
     if args.output == "structured":
-        _emit_json({
-            "command": "profile-alpha",
-            "passed": True,
-            "f": f.name,
-            "rows": rows,
-        })
-    else:
-        for n, a in rows:
-            print(f"{n} {_fmt(a)}")
-    return 0
+        return True, {"f": f.name, "rows": rows}
+    for n, a in rows:
+        print(f"{n} {_fmt(a)}")
+    return True, None
 
 
 def _add_input_group(p: argparse.ArgumentParser) -> None:
@@ -359,13 +331,13 @@ def main(argv=None) -> int:
     except SystemExit as e:  # argparse exits itself on usage errors and --help
         return int(e.code or 0)
     try:
-        return args.fn(args)
-    except FmetricError as e:
+        passed, body = args.fn(args)
+        if args.output == "structured":
+            _emit_json({"command": args.command, "passed": passed, **body})
+    except (FmetricError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

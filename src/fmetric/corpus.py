@@ -7,6 +7,7 @@ seed and are deterministic given it.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -210,28 +211,6 @@ def random_fspace(seed: int, size: int, f: FGenerator) -> tuple:
     return space, Witness(f, min_alpha(space, f))
 
 
-_BUILDERS = {
-    "interval-halving": lambda **kw: interval_halving(),
-    "oscillating-orbit": lambda **kw: oscillating_orbit_space(depth=int(kw.get("depth", 250))),
-    "sequence-space": lambda **kw: sequence_space(N=int(kw.get("N", 1000))),
-    "rect-b": lambda **kw: rect_b_example(n=int(kw.get("n", 10))),
-}
-
-
-def example_ids() -> list:
-    return list(_BUILDERS)
-
-
-def build_example(example_id: str, **params) -> NamedExample:
-    try:
-        builder = _BUILDERS[example_id]
-    except KeyError:
-        raise DomainError(
-            f"unknown example {example_id!r}; known: {', '.join(_BUILDERS)}"
-        ) from None
-    return builder(**params)
-
-
 def _reproduce_interval() -> list:
     ex = interval_halving()
     sq = lookup_function("square", "altering")
@@ -274,7 +253,7 @@ def _reproduce_interval() -> list:
 
 
 def _reproduce_oscillating() -> list:
-    ex = oscillating_orbit_space(depth=250)
+    ex = oscillating_orbit_space()
     x0 = ex.expected["orbit_prefix"][0]
     checks = []
     tr = solver.orbit(ex.space, ex.map, x0, 4)
@@ -319,8 +298,8 @@ def _reproduce_oscillating() -> list:
 
 
 def _reproduce_sequence() -> list:
-    N = 1000
-    ex = sequence_space(N=N)
+    ex = sequence_space()
+    N = ex.expected["truncation"]
     checks = []
     bound = N // 3
     pairs = tuple((i, j) for i in range(1, bound + 1) for j in range(i + 1, bound + 1))
@@ -390,12 +369,40 @@ def _reproduce_rect_b() -> list:
     return checks
 
 
-_REPRODUCERS = {
-    "interval-halving": _reproduce_interval,
-    "oscillating-orbit": _reproduce_oscillating,
-    "sequence-space": _reproduce_sequence,
-    "rect-b": _reproduce_rect_b,
+# example id -> (builder, reproducer); a builder's keyword parameters,
+# with their defaults, are the sizes build_example accepts
+_EXAMPLES = {
+    "interval-halving": (interval_halving, _reproduce_interval),
+    "oscillating-orbit": (oscillating_orbit_space, _reproduce_oscillating),
+    "sequence-space": (sequence_space, _reproduce_sequence),
+    "rect-b": (rect_b_example, _reproduce_rect_b),
 }
+
+
+def example_ids() -> list:
+    return list(_EXAMPLES)
+
+
+def _registered(example_id: str) -> tuple:
+    try:
+        return _EXAMPLES[example_id]
+    except KeyError:
+        raise DomainError(
+            f"unknown example {example_id!r}; known: {', '.join(_EXAMPLES)}"
+        ) from None
+
+
+def build_example(example_id: str, **params) -> NamedExample:
+    """The example built with the given sizes, each one its builder takes."""
+    builder = _registered(example_id)[0]
+    takes = inspect.signature(builder).parameters
+    for name in params:
+        if name not in takes:
+            raise DomainError(
+                f"example {example_id!r} takes no parameter {name}; "
+                f"it takes {', '.join(takes) or 'none'}"
+            )
+    return builder(**params)
 
 
 def reproduce(example_id: str) -> list:
@@ -403,10 +410,4 @@ def reproduce(example_id: str) -> list:
 
     Returns (check name, passed, detail) tuples in a fixed order.
     """
-    try:
-        fn = _REPRODUCERS[example_id]
-    except KeyError:
-        raise DomainError(
-            f"unknown example {example_id!r}; known: {', '.join(_REPRODUCERS)}"
-        ) from None
-    return fn()
+    return _registered(example_id)[1]()

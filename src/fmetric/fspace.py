@@ -88,6 +88,14 @@ class FiniteSpace:
     def contains(self, x) -> bool:
         return x in self._index
 
+    def nearest_label(self, value: float) -> tuple:
+        """The numeric label nearest value, and whether it lies within 1e-9
+        of it, since decimal input cannot always spell a stored float
+        exactly; (None, False) when no label is numeric."""
+        best = min((lab for lab in self.labels if isinstance(lab, (int, float))),
+                    key=lambda lab: abs(lab - value), default=None)
+        return best, best is not None and not abs(best - value) > 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class AnalyticSpace:
@@ -160,10 +168,12 @@ class Witness:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
 
 
-def distance_table(space, points) -> np.ndarray:
-    """Matrix of d over a list of points, on either kind of space."""
-    v = space.as_array(points)
-    return space.dists(v[:, None], v[None, :])
+def distance_table(space, rows, cols=None) -> np.ndarray:
+    """d from each point of rows (one row each) to each point of cols,
+    by default rows again, in one array call on either kind of space."""
+    r = space.as_array(rows)
+    c = r if cols is None else space.as_array(cols)
+    return space.dists(r[:, None], c[None, :])
 
 
 def check_identity_symmetry(space: FiniteSpace, margin: float = 0.0):
@@ -235,21 +245,25 @@ def verify_D3(space: FiniteSpace, w: Witness, margin: float = 0.0) -> Verificati
     The pair (x, y) passes iff f(d(x,y)) - f(minimal chain sum) <= alpha
     (+ margin) in both directions, whose chain sums can round apart; the
     float subtraction min_alpha uses keeps the two exactly consistent. A
-    failing pair i < j is listed once, in row-major order, with lhs and
-    rhs of its larger slack (i to j on a tie).
+    nan slack (f overflowing to the same infinity on both sides) decides
+    nothing, as in min_alpha, so a pair goes by the larger slack that is
+    not nan. A failing pair i < j is listed once, in row-major order, with
+    lhs and rhs of that slack's direction (i to j on a tie).
     """
     fd, fs = _d3_sides(space, w.f, margin)
     slack = fd - fs
-    ii, jj = np.nonzero(np.triu(np.maximum(slack, slack.T) > w.alpha + margin, 1))
-    back = slack[jj, ii] > slack[ii, jj]
+    worst = np.fmax(slack, slack.T)
+    ii, jj = np.nonzero(np.triu(worst > w.alpha + margin, 1))
+    back = worst[ii, jj] != slack[ii, jj]
     ri, rj = np.where(back, jj, ii), np.where(back, ii, jj)
     return VerificationReport("D3", space.labels, ii, jj, fd[ri, rj], fs[ri, rj] + w.alpha)
 
 
 def min_alpha(space: FiniteSpace, f: FGenerator) -> float:
-    """Smallest alpha >= 0 for which verify_D3 passes with generator f."""
+    """Smallest alpha >= 0 for which verify_D3 passes with generator f;
+    a nan slack is skipped, as verify_D3 skips it."""
     fd, fs = _d3_sides(space, f)
-    return max(0.0, float((fd - fs).max(initial=0.0)))
+    return float(np.fmax.reduce(fd - fs, axis=None, initial=0.0))
 
 
 def alpha_divergence_profile(
@@ -262,12 +276,6 @@ def alpha_divergence_profile(
     return [(n, min_alpha(family(n), f)) for n in range(lo, hi + 1)]
 
 
-def _distance_rows(space, centers, pts) -> np.ndarray:
-    """d(c, p) for each center c (one row each) and each p in pts, in one
-    array call."""
-    return space.dists(space.as_array(centers)[:, None], space.as_array(pts)[None, :])
-
-
 def _ball(pts, row: np.ndarray, r: float) -> set:
     """The points of pts whose entry in the distance row is below r."""
     return set(compress(pts, (row < r).tolist()))
@@ -278,7 +286,7 @@ def open_ball(space, x, r: float) -> set:
     pts = space.points()
     if not space.contains(x):
         raise DomainError(f"center {x!r} is not in the carrier")
-    return _ball(pts, _distance_rows(space, [x], pts)[0], r)
+    return _ball(pts, distance_table(space, [x], pts)[0], r)
 
 
 def hausdorff_witness(space, x, y) -> tuple:
@@ -301,7 +309,7 @@ def hausdorff_witness(space, x, y) -> tuple:
         if not space.contains(c):
             raise DomainError(f"center {c!r} is not in the carrier")
     # a nan distance puts no point in a ball, so fmin skips it
-    m = float(np.fmin.reduce(np.maximum(*_distance_rows(space, [x, y], pts))))
+    m = float(np.fmin.reduce(np.maximum(*distance_table(space, [x, y], pts))))
     if not m > 0:
         raise SpaceAxiomError(
             f"a point within distance {m} of both {x!r} and {y!r}, identity axiom broken"
@@ -323,12 +331,15 @@ def ball_base(space, x) -> list:
     Consecutive duplicates are dropped; the list always ends with {x},
     reached once 1/n drops to the smallest positive distance from x.
     Every ball comes from one row of distances from x: sorted, a ball
-    is the prefix of points nearer than 1/n.
+    is the prefix of points nearer than 1/n. The ball next shrinks at the
+    first n with 1.0/n at most the farthest distance still inside, so n
+    jumps to the ceiling of its reciprocal, moved down while n - 1 also
+    qualifies (a ceiling one short shrinks nothing; the next pass goes on).
     """
     pts = space.points()
     if not space.contains(x):
         raise DomainError(f"center {x!r} is not in the carrier")
-    row = _distance_rows(space, [x], pts)[0]
+    row = distance_table(space, [x], pts)[0]
     others = [d for y, d in zip(pts, row.tolist()) if y != x]
     if others and min(others) <= 0.0:
         raise SpaceAxiomError(f"a point at distance {min(others)} from {x!r} breaks the identity axiom")
@@ -346,4 +357,12 @@ def ball_base(space, x) -> list:
             base.append({pts[k] for k in order[:count]})
         if base[-1] == {x}:
             return base
-        n += 1
+        if not count:
+            raise SpaceAxiomError(f"d({x!r}, {x!r}) > 0 leaves {x!r} out of its own balls")
+        far = near[count - 1]
+        if not 1.0 / far < 2.0 ** 53:
+            raise RuntimeError(f"a ball around {x!r} shrinks again only at n >= 2**53")
+        step = max(n + 1, math.ceil(1.0 / far))
+        while step - 1 > n and 1.0 / (step - 1) <= far:
+            step -= 1
+        n = step

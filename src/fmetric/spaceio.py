@@ -32,7 +32,6 @@ from .errors import DomainError, SpaceFormatError
 from .fclass import lookup_function
 from .fspace import FiniteSpace, Witness
 
-_SNAP_TOL = 1e-9
 _NUMBER_TYPES = frozenset((int, float))
 
 
@@ -100,16 +99,15 @@ def _raise_first_bad_entry(rows, n_labels: int) -> None:
 
 
 def _affine_map(a: float, b: float, space: FiniteSpace) -> Callable:
-    numeric = [lab for lab in space.labels if isinstance(lab, (int, float))]
-    if not numeric:
+    if space.nearest_label(b)[0] is None:
         raise SpaceFormatError("affine map needs numeric labels, found none")
 
     def T(x):
         if not isinstance(x, (int, float)):
             raise DomainError(f"affine map is undefined at non-numeric point {x!r}")
         y = a * x + b
-        best = min(numeric, key=lambda lab: abs(lab - y))
-        if abs(best - y) > _SNAP_TOL:
+        best, within = space.nearest_label(y)
+        if not within:
             raise DomainError(
                 f"affine image {y!r} of {x!r} is not in the carrier "
                 f"(nearest label {best!r} is {abs(best - y):.3g} away)"

@@ -135,6 +135,15 @@ def test_solve_x0_outside_carrier(capsys):
     assert "not in the carrier" in err
 
 
+def test_x0_snaps_to_a_label_within_1e_9(capsys):
+    solve = ("solve", "--example", "oscillating-orbit", "--max-iter", "5")
+    code, out, _ = run(capsys, *solve, "--x0", "2.0000000009")
+    assert code == 1 and "cycle: (2, -2)" in out
+    code, _, err = run(capsys, *solve, "--x0", "2.0000000011")
+    assert code == 2
+    assert err == "error: '2.0000000011' is not in the carrier (nearest point 2.0)\n"
+
+
 def test_check_edelstein_interval_seeded(capsys):
     code, out, _ = run(
         capsys, "check", "edelstein", "--example", "interval-halving",
@@ -219,7 +228,7 @@ def test_profile_alpha_single_row(capsys):
 def test_profile_alpha_bad_range(capsys):
     code, _, err = run(capsys, "profile-alpha", "--from", "5", "--to", "2")
     assert code == 2
-    assert "range" in err
+    assert err == "error: bad range 5..2 (need 2 <= from <= to)\n"
 
 
 def test_structured_verify_is_json_and_stable(capsys, tmp_path):
@@ -423,3 +432,42 @@ def test_distance_beyond_the_float_range_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "error: distance beyond the float range: int too large to convert to float\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--example", "rect-b", "--N", "50", "--alpha", "0"],
+    ["min-alpha", "--example", "rect-b", "--n", "10", "--depth", "3"],
+    ["min-alpha", "--example", "sequence-space", "--depth", "3"],
+    ["check", "kannan", "--example", "oscillating-orbit", "--N", "5", "--all-pairs"],
+    ["solve", "--example", "interval-halving", "--x0", "0", "--n", "3"],
+], ids=["rect-b", "rect-b-two-sizes", "sequence-space", "oscillating-orbit", "interval-halving"])
+def test_a_size_flag_of_another_example_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: example '{argv[argv.index('--example') + 1]}' takes no parameter")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--n", "--depth", "--N"])
+def test_a_size_flag_with_input_exit_2(capsys, tmp_path, flag):
+    p = tmp_path / "m.csv"
+    p.write_text("a,b\n0,1\n1,0\n")
+    code, out, err = run(capsys, "min-alpha", "--input", str(p), flag, "5")
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} sizes a bundled example, not an --input file\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_min_alpha_and_verify_agree_on_a_nan_slack(capsys, tmp_path):
+    # neg_inv(5e-324) overflows to -inf on both sides of (a, c), a nan
+    # slack; (a, b) has slack inf through the chain a-c-b
+    p = tmp_path / "tiny.json"
+    p.write_text(json.dumps({"points": ["a", "b", "c"],
+                             "matrix": [[0, 1, 5e-324], [1, 0, 5e-324], [5e-324, 5e-324, 0]]}))
+    assert run(capsys, "min-alpha", "--input", str(p), "--f", "neg_inv")[:2] == (0, "inf\n")
+    verify = ("verify", "--input", str(p), "--f", "neg_inv", "--alpha")
+    assert run(capsys, *verify, "inf")[0] == 0
+    code, out, _ = run(capsys, *verify, "1e308")
+    assert code == 1
+    assert "(a, b): lhs=-1 rhs=-inf" in out

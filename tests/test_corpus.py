@@ -38,6 +38,17 @@ def test_build_example_forwards_params():
     assert len(build_example("oscillating-orbit", depth=4).space.labels) == 10
 
 
+@pytest.mark.parametrize("example_id, params", [
+    ("interval-halving", {"depth": 3}),
+    ("oscillating-orbit", {"n": 3}),
+    ("sequence-space", {"depth": 3}),
+    ("rect-b", {"n": 3, "N": 50}),
+])
+def test_build_example_rejects_a_parameter_its_builder_does_not_take(example_id, params):
+    with pytest.raises(DomainError, match=f"example '{example_id}' takes no parameter"):
+        build_example(example_id, **params)
+
+
 def test_rect_b_family_shape():
     sp = rect_b_family(10)
     assert sp.labels[:4] == (1, 20, 25, 30)

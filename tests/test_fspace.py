@@ -7,6 +7,7 @@ import pytest
 from fmetric import (
     AnalyticSpace,
     DomainError,
+    FGenerator,
     FiniteSpace,
     SpaceAxiomError,
     Witness,
@@ -260,6 +261,10 @@ BALL_SPACES = {
     # ties (0.5 and -0.5 from 0) and near-ties (0.7 - 0.5 is 0.2 less an ulp)
     "line": (_line([0.0, 0.5, -0.5, 0.25, 1.0 / 3, 0.2, -0.2, 0.9, 0.01, 0.7]), None),
     "sequence": (sequence_space(N=40).space, [1, 7, 40]),
+    # from 0, ceil(1/d) is one too low for the ulp below 1/5 (1/d rounds
+    # to 5) and one too high for 1.0/49 (1/d rounds above 49), where a
+    # point at 0.0201 drops out at n = 50 and not at 49
+    "reciprocals": (_line([0.0, 0.7, float(np.nextafter(0.2, 0)), 1.0 / 49, 0.0201]), [0.0]),
     # d/(2m) rounds up past 7 and down to 22: the first guess ceil(d/(2m))
     # is one too high, then one too low
     "guess high": (FiniteSpace(("x", "y", "z"), [[0, 2.1, 0.15], [2.1, 0, 0.15], [0.15, 0.15, 0]]),
@@ -323,6 +328,21 @@ def test_balls_code_the_carrier_without_label_lookups(monkeypatch):
     assert calls == [x] * 4  # the center only
     space.as_array(list(space.labels))
     assert calls[4:] == list(space.labels)
+
+
+def test_ball_base_jumps_past_radii_that_change_nothing():
+    # the parent stepped n by one, 10**12 times, to separate the 1e-12 link
+    space = FiniteSpace(("a", "b", "c"), [[0, 1e-12, 0.5], [1e-12, 0, 0.5], [0.5, 0.5, 0]])
+    assert ball_base(space, "a") == [{"a", "b", "c"}, {"a", "b"}, {"a"}]
+    space = FiniteSpace(("a", "b"), [[0, 1e-300], [1e-300, 0]])
+    with pytest.raises(RuntimeError, match="2\\*\\*53"):
+        ball_base(space, "a")
+
+
+def test_ball_base_rejects_a_center_outside_its_own_balls():
+    space = FiniteSpace(("a", "b"), [[0.5, 0.25], [0.25, 0]])
+    with pytest.raises(SpaceAxiomError, match="leaves 'a' out of its own balls"):
+        ball_base(space, "a")
 
 
 def test_ball_base_reads_one_distance_row(monkeypatch):
@@ -402,6 +422,9 @@ def _loop_verify_D3(space, w, margin):
             for a, b in ((i, j), (j, i)):
                 lhs, fs = float(w.f.eval(space.dist[a, b])), float(w.f.eval(sp[a, b]))
                 sides.append((lhs - fs, lhs, fs + w.alpha))
+            sides = [side for side in sides if not math.isnan(side[0])]
+            if not sides:
+                continue
             slack, lhs, rhs = max(sides, key=lambda side: side[0])
             if slack > w.alpha + margin:
                 violations.append(((space.labels[i], space.labels[j]), lhs, rhs))
@@ -418,14 +441,23 @@ def _string_labelled(seed, n):
     return FiniteSpace(labels=tuple(f"p{k}" for k in range(n)), dist=dist)
 
 
+# ln, but +inf from d(2 + 1/3, -2 - 1/7) of the depth-3 orbit up; that
+# pair's chain sum is that distance one way and an ulp below it the other,
+# so its slack is nan (inf - inf) one way and inf the other
+_CUT = oscillating_orbit_space(depth=3).space.d(2.0 + 1.0 / 3, -2.0 - 1.0 / 7)
+CUT_LN = FGenerator("cut-ln", lambda t: np.where(t >= _CUT, np.inf, np.log(t)))
+
+
 D3_TABLES = {
     "non-metric": lambda: _half_min_alpha(random_fspace(20, 45, LN)[0]),
     "orbit": lambda: (oscillating_orbit_space(depth=30).space, Witness(LN, 0.0)),
     "string-labels": lambda: _half_min_alpha(_string_labelled(21, 40)),
     "violation-free": lambda: (random_metric(22, 50), Witness(LN, 0.0)),
+    "nan-slack": lambda: (oscillating_orbit_space(depth=3).space, Witness(CUT_LN, 0.0)),
 }
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("margin_share", [0.0, 0.5])
 @pytest.mark.parametrize("name", D3_TABLES)
 def test_verify_D3_matches_pair_loop_reference(name, margin_share):

@@ -90,23 +90,24 @@ def test_dumps_raises_what_json_dumps_raises(doc):
     assert str(got.value) == str(want.value)
 
 
+# each subcommand's structured run and its exit code
 SUBCOMMANDS = [
-    ["verify", "--example", "rect-b", "--n", "8", "--alpha", "1"],
-    ["verify", "--example", "oscillating-orbit", "--depth", "20", "--alpha", "0"],
-    ["min-alpha", "--example", "rect-b", "--n", "12"],
-    ["solve", "--example", "oscillating-orbit", "--x0", "2"],
-    ["solve", "--example", "interval-halving", "--x0", "0"],
-    ["check", "kannan", "--example", "oscillating-orbit", "--depth", "20", "--all-pairs"],
-    ["check", "shift", "--example", "interval-halving", "--x0", "1/3"],
-    ["check", "edelstein", "--example", "interval-halving", "--pairs", "300", "--seed", "4"],
-    ["check", "orbital-kannan", "--example", "sequence-space", "--x0", "1"],
-    ["reproduce", "oscillating-orbit"],
-    ["profile-alpha", "--from", "2", "--to", "9"],
+    (["verify", "--example", "rect-b", "--n", "8", "--alpha", "1"], 1),
+    (["verify", "--example", "oscillating-orbit", "--depth", "20", "--alpha", "0"], 1),
+    (["min-alpha", "--example", "rect-b", "--n", "12"], 0),
+    (["solve", "--example", "oscillating-orbit", "--x0", "2"], 1),
+    (["solve", "--example", "interval-halving", "--x0", "0"], 0),
+    (["check", "kannan", "--example", "oscillating-orbit", "--depth", "20", "--all-pairs"], 1),
+    (["check", "shift", "--example", "interval-halving", "--x0", "1/3"], 0),
+    (["check", "edelstein", "--example", "interval-halving", "--pairs", "300", "--seed", "4"], 0),
+    (["check", "orbital-kannan", "--example", "sequence-space", "--x0", "1"], 1),
+    (["reproduce", "oscillating-orbit"], 0),
+    (["profile-alpha", "--from", "2", "--to", "9"], 0),
 ]
 
 
-@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=[" ".join(a[:4]) for a in SUBCOMMANDS])
-def test_structured_documents_of_every_subcommand(argv, capsys, monkeypatch):
+@pytest.mark.parametrize("argv, code", SUBCOMMANDS, ids=[" ".join(a[:4]) for a, _ in SUBCOMMANDS])
+def test_structured_documents_of_every_subcommand(argv, code, capsys, monkeypatch):
     docs = []
 
     def checked_dumps(doc):
@@ -114,8 +115,10 @@ def test_structured_documents_of_every_subcommand(argv, capsys, monkeypatch):
         return reference(doc)
 
     monkeypatch.setattr(cli, "dumps", checked_dumps)
-    cli.main([*argv, "--output", "structured"])
+    assert cli.main([*argv, "--output", "structured"]) == code
     assert len(docs) == 1
+    assert list(docs[0])[:2] == ["command", "passed"]
+    assert (docs[0]["command"], docs[0]["passed"]) == (argv[0], code == 0)
     assert dumps(docs[0]) == capsys.readouterr().out.rstrip("\n")
 
 

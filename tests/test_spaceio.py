@@ -36,6 +36,16 @@ def test_json_space_with_witness_and_affine_map(tmp_path):
         T(0.5)  # image 0.75 is not a carrier point
 
 
+def test_affine_images_snap_to_a_label_within_1e_9(tmp_path):
+    pts = [0, 1, 0.5000000008, 0.2500000015]
+    doc = {"points": pts, "matrix": [[abs(a - b) for b in pts] for a in pts],
+           "map": {"affine": [0.5, 0]}}
+    _, _, T = load_space_file(write(tmp_path, "s.json", json.dumps(doc)))
+    assert T(1) == 0.5000000008
+    with pytest.raises(DomainError, match="nearest label 0.2500000015 is 1.1e-09 away"):
+        T(0.5000000008)
+
+
 def test_json_space_minimal(tmp_path):
     doc = {"points": ["a", "b"], "matrix": [[0, 2], [2, 0]]}
     space, witness, T = load_space_file(write(tmp_path, "m.json", json.dumps(doc)))
