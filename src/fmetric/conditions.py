@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,30 +41,37 @@ class PairSample:
         return len(self.pairs)
 
 
-def random_pairs(space, count: int, seed: int) -> PairSample:
-    """Seeded uniform sample of distinct-point pairs."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    pairs = []
+def _carrier(space):
+    """The points of an enumerated carrier, or None for a bounded real interval."""
     if isinstance(space, FiniteSpace) or getattr(space, "enumerator", None) is not None:
         pts = space.points()
         if len(pts) < 2:
             raise DomainError("need at least two carrier points to form pairs")
-        while len(pairs) < count:
-            i, j = rng.integers(0, len(pts), size=2)
-            if i != j:
-                pairs.append((pts[int(i)], pts[int(j)]))
-    elif isinstance(space, AnalyticSpace) and space.bounds is not None:
-        lo, hi = space.bounds
-        # one draw of all rows takes the stream's values in the order that
-        # a draw per pair would, so rejecting x == y rows and topping up
-        # gives the same sample
-        while len(pairs) < count:
-            xy = rng.uniform(lo, hi, size=(count - len(pairs), 2))
-            pairs += map(tuple, xy[xy[:, 0] != xy[:, 1]].tolist())
-    else:
+        return pts
+    if not (isinstance(space, AnalyticSpace) and space.bounds is not None):
         raise DomainError("cannot sample this space: no enumeration and no bounds")
+    return None
+
+
+def random_pairs(space, count: int, seed: int) -> PairSample:
+    """Seeded uniform sample of distinct-point pairs.
+
+    Rows of two (carrier indices, or values on a bounded interval) are
+    drawn in bulk, rows with equal entries dropped and the rest topped up;
+    a bulk draw takes the stream's values in the order a draw per pair would.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    pts = _carrier(space)
+    rng = np.random.default_rng(seed)
+    if pts is None:
+        draw, take = partial(rng.uniform, *space.bounds), tuple
+    else:
+        draw, take = partial(rng.integers, 0, len(pts)), lambda ij: (pts[ij[0]], pts[ij[1]])
+    pairs = []
+    while len(pairs) < count:
+        rows = draw(size=(count - len(pairs), 2))
+        pairs += map(take, rows[rows[:, 0] != rows[:, 1]].tolist())
     return PairSample(tuple(pairs), f"random(seed={seed}, count={count})")
 
 
@@ -76,14 +84,10 @@ def grid_pairs(space, count: int) -> PairSample:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if isinstance(space, FiniteSpace) or getattr(space, "enumerator", None) is not None:
-        pts = space.points()
-        if len(pts) < 2:
-            raise DomainError("need at least two carrier points to form pairs")
+    pts = _carrier(space)
+    if pts is not None:
         src = f"grid(first {count} index pairs)"
     else:
-        if not (isinstance(space, AnalyticSpace) and space.bounds is not None):
-            raise DomainError("cannot sample this space: no enumeration and no bounds")
         lo, hi = space.bounds
         m = max(2, math.ceil((1 + math.sqrt(1 + 8 * count)) / 2))
         pts = [float(v) for v in np.linspace(lo, hi, m)]

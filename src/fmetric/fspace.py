@@ -92,8 +92,9 @@ class FiniteSpace:
         """The numeric label nearest value, and whether it lies within 1e-9
         of it, since decimal input cannot always spell a stored float
         exactly; (None, False) when no label is numeric."""
-        best = min((lab for lab in self.labels if isinstance(lab, (int, float))),
-                    key=lambda lab: abs(lab - value), default=None)
+        # min would keep a leading nan, and lab == lab is false only for nan
+        best = min((lab for lab in self.labels if isinstance(lab, (int, float)) and lab == lab),
+                   key=lambda lab: abs(lab - value), default=None)
         return best, best is not None and not abs(best - value) > 1e-9
 
 
@@ -180,10 +181,12 @@ def check_identity_symmetry(space: FiniteSpace, margin: float = 0.0):
     """Identity and symmetry axioms on the matrix.
 
     Returns two reports: one for the identity axiom (zero diagonal and
-    strictly positive off-diagonal), one for symmetry. margin loosens
-    every comparison for noisy inputs. Violations are listed diagonal
-    first, then in row-major order.
+    strictly positive off-diagonal), one for symmetry. margin >= 0
+    loosens every comparison for noisy inputs. Violations are listed
+    diagonal first, then in row-major order.
     """
+    if not margin >= 0:
+        raise ValueError(f"margin must be >= 0, got {margin}")
     m = space.dist
     diag = np.flatnonzero(np.abs(np.diagonal(m)) > margin)
     off_i, off_j = np.nonzero((m <= margin) & ~np.eye(space.n, dtype=bool))
@@ -276,17 +279,20 @@ def alpha_divergence_profile(
     return [(n, min_alpha(family(n), f)) for n in range(lo, hi + 1)]
 
 
-def _ball(pts, row: np.ndarray, r: float) -> set:
-    """The points of pts whose entry in the distance row is below r."""
-    return set(compress(pts, (row < r).tolist()))
+def _center_rows(space, centers):
+    """The carrier's points and each center's row of distances to them,
+    read once every center is checked to be in the carrier."""
+    pts = space.points()
+    for c in centers:
+        if not space.contains(c):
+            raise DomainError(f"center {c!r} is not in the carrier")
+    return pts, distance_table(space, centers, pts)
 
 
 def open_ball(space, x, r: float) -> set:
     """Strict ball {y in carrier : d(x, y) < r}; x itself included for r > 0."""
-    pts = space.points()
-    if not space.contains(x):
-        raise DomainError(f"center {x!r} is not in the carrier")
-    return _ball(pts, distance_table(space, [x], pts)[0], r)
+    pts, (row,) = _center_rows(space, [x])
+    return set(compress(pts, (row < r).tolist()))
 
 
 def hausdorff_witness(space, x, y) -> tuple:
@@ -304,12 +310,9 @@ def hausdorff_witness(space, x, y) -> tuple:
     dxy = space.d(x, y)
     if dxy <= 0:
         raise SpaceAxiomError(f"d({x!r}, {y!r}) = {dxy}, identity axiom broken")
-    pts = space.points()
-    for c in (x, y):
-        if not space.contains(c):
-            raise DomainError(f"center {c!r} is not in the carrier")
+    _, rows = _center_rows(space, [x, y])
     # a nan distance puts no point in a ball, so fmin skips it
-    m = float(np.fmin.reduce(np.maximum(*distance_table(space, [x, y], pts))))
+    m = float(np.fmin.reduce(np.maximum(*rows)))
     if not m > 0:
         raise SpaceAxiomError(
             f"a point within distance {m} of both {x!r} and {y!r}, identity axiom broken"
@@ -336,10 +339,7 @@ def ball_base(space, x) -> list:
     jumps to the ceiling of its reciprocal, moved down while n - 1 also
     qualifies (a ceiling one short shrinks nothing; the next pass goes on).
     """
-    pts = space.points()
-    if not space.contains(x):
-        raise DomainError(f"center {x!r} is not in the carrier")
-    row = distance_table(space, [x], pts)[0]
+    pts, (row,) = _center_rows(space, [x])
     others = [d for y, d in zip(pts, row.tolist()) if y != x]
     if others and min(others) <= 0.0:
         raise SpaceAxiomError(f"a point at distance {min(others)} from {x!r} breaks the identity axiom")

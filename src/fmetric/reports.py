@@ -2,13 +2,14 @@
 
 Conventions: `passed` is the overall verdict and `violations` lists the
 offending items in evaluation order. VerificationReport stores them as
-index and value arrays; every to_dict returns plain JSON data.
+index and value arrays and writes its own to_dict; the others share
+_FieldReport's. Every to_dict returns plain JSON data.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
@@ -133,8 +134,18 @@ def _column(values, nl: str):
     return [_encode(v, nl) for v in values]
 
 
+class _FieldReport:
+    """Base of the reports whose to_dict writes each dataclass field, in
+    declaration order, through _jsonable; fields named in _omit are left out."""
+
+    _omit = ()
+
+    def to_dict(self) -> dict:
+        return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self) if f.name not in self._omit}
+
+
 @dataclass
-class PropertyReport:
+class PropertyReport(_FieldReport):
     """Outcome of a pointwise function-property check (F1, F2, altering)."""
 
     name: str
@@ -142,15 +153,6 @@ class PropertyReport:
     checked: int
     failures: list = field(default_factory=list)
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "checked": self.checked,
-            "failures": _jsonable(self.failures),
-            "note": self.note,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +196,7 @@ class VerificationReport:
 
 
 @dataclass
-class ConditionReport:
+class ConditionReport(_FieldReport):
     """Outcome of a contraction-style condition check over a sample.
 
     margin_min is the smallest rhs - lhs seen (inf when nothing was
@@ -209,19 +211,9 @@ class ConditionReport:
     margin_min: float = math.inf
     source: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "passed": self.passed,
-            "checked": self.checked,
-            "violations": _jsonable(self.violations),
-            "margin_min": _jsonable(self.margin_min),
-            "source": self.source,
-        }
-
 
 @dataclass
-class SolveReport:
+class SolveReport(_FieldReport):
     """Outcome of a fixed-point iteration run."""
 
     status: str                      # converged | cycle_detected | budget_exhausted
@@ -231,11 +223,4 @@ class SolveReport:
     cycle: list | None = None
     trace: Any = None                # IterationTrace, omitted from to_dict
 
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "iterations": self.iterations,
-            "fixed_point": _jsonable(self.fixed_point),
-            "residual": _jsonable(self.residual),
-            "cycle": _jsonable(self.cycle),
-        }
+    _omit = ("trace",)

@@ -28,6 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import corpus
 from .errors import DomainError, SpaceFormatError
 from .fclass import lookup_function
 from .fspace import FiniteSpace, Witness
@@ -119,8 +120,6 @@ def _affine_map(a: float, b: float, space: FiniteSpace) -> Callable:
 
 def _build_map(entry, space: FiniteSpace) -> Callable:
     if isinstance(entry, str):
-        from . import corpus
-
         ex = corpus.build_example(entry)
         if ex.map is None:
             raise SpaceFormatError(f"example {entry!r} has no map to borrow")

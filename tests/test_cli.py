@@ -471,3 +471,23 @@ def test_min_alpha_and_verify_agree_on_a_nan_slack(capsys, tmp_path):
     code, out, _ = run(capsys, *verify, "1e308")
     assert code == 1
     assert "(a, b): lhs=-1 rhs=-inf" in out
+
+
+def test_solve_never_lands_on_a_nan_label(capsys, tmp_path):
+    # a nan label compares false with everything, so it must not win the snap of x0
+    p = tmp_path / "nan.json"
+    p.write_text('{"points": [NaN, 1, 2], "matrix": [[0,1,2],[1,0,1],[2,1,0]], "map": {"affine": [1, 0]}}')
+    code, out, _ = run(capsys, "solve", "--x0", "1", "--input", str(p))
+    assert code == 0
+    assert out == "status: converged\niterations: 1\nfixed_point: 1\nresidual: 0\n"
+
+
+@pytest.mark.parametrize("margin", ["nan", "-1"])
+def test_verify_margin_below_zero_or_nan_exit_2(capsys, tmp_path, margin):
+    # D2 fails on this table without a margin; a nan margin used to pass every axiom
+    p = tmp_path / "t.csv"
+    p.write_text("0,1,2\n0,5,1\n1,0,1\n2,1,7\n")
+    assert run(capsys, "verify", "--input", str(p), "--alpha", "0")[0] == 1
+    code, out, err = run(capsys, "verify", "--input", str(p), "--alpha", "0", "--margin", margin)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: margin must be >= 0") and err.count("\n") == 1

@@ -43,14 +43,21 @@ def test_random_pairs_deterministic_per_seed():
 
 
 def _loop_random_pairs(space, count, seed):
-    """Reference: one uniform draw of two values per pair, x == y rejected."""
+    """Reference: one draw of a row of two per pair, rows with equal entries
+    rejected; carrier indices on an enumerated carrier, values on an interval."""
     rng = np.random.default_rng(seed)
-    lo, hi = space.bounds
+    bounds = getattr(space, "bounds", None)
+    pts = space.points() if bounds is None else None
     pairs = []
     while len(pairs) < count:
-        x, y = rng.uniform(lo, hi, size=2)
-        if x != y:
-            pairs.append((float(x), float(y)))
+        if pts is None:
+            x, y = rng.uniform(*bounds, size=2)
+            if x != y:
+                pairs.append((float(x), float(y)))
+        else:
+            i, j = rng.integers(0, len(pts), size=2)
+            if i != j:
+                pairs.append((pts[int(i)], pts[int(j)]))
     return tuple(pairs)
 
 
@@ -62,10 +69,16 @@ def test_random_pairs_on_bounds_match_per_pair_draws(seed):
                            bounds=(1.0, 1.0 + 2 * eps))
     first = np.random.default_rng(seed).uniform(*narrow.bounds, size=(300, 2))
     assert (first[:, 0] == first[:, 1]).any()
-    for space, count in ((interval_halving().space, 1000), (narrow, 300)):
-        got = random_pairs(space, count, seed=seed).pairs
-        assert got == _loop_random_pairs(space, count, seed)
-        assert all(type(v) is float for pair in got for v in pair)
+    # on two points half the index rows repeat a point and are dropped
+    two = FiniteSpace(("a", 7), [[0.0, 1.0], [1.0, 0.0]])
+    spaces = (interval_halving().space, narrow, two,
+              oscillating_orbit_space(depth=5).space, sequence_space(N=1000).space)
+    for space in spaces:
+        for count in (1, 7, 1000):
+            got = random_pairs(space, count, seed=seed).pairs
+            want = _loop_random_pairs(space, count, seed)
+            assert got == want
+            assert [type(v) for pair in got for v in pair] == [type(v) for pair in want for v in pair]
 
 
 def test_random_pairs_on_finite_space():

@@ -104,6 +104,7 @@ def test_F2_accepts_ln_and_neg_inv_rejects_id():
     assert check_F2(lookup_function("neg_inv", "generator")).passed
     rep = check_F2(lookup_function("id", "generator"))
     assert not rep.passed
+    assert rep.failures == [{"level": 1, "reason": f"no t >= {2.0 ** -200:g} with f(t) <= -1"}]
 
 
 def test_F2_rejects_divergence_without_smallness():
@@ -112,6 +113,7 @@ def test_F2_rejects_divergence_without_smallness():
     bumpy = FGenerator(name="bumpy", fn=lambda t: np.where(np.asarray(t) < 1.0, 5.0, np.log(np.asarray(t, dtype=float))))
     rep = check_F2(bumpy)
     assert not rep.passed
+    assert rep.failures == [{"level": 1, "reason": f"no t >= {2.0 ** -200:g} with f(t) <= -1"}]
 
 
 def test_check_altering_accepts_registered():

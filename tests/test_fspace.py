@@ -155,6 +155,25 @@ def test_verify_D3_margin_absorbs_near_ties():
         assert verify_D3(space, Witness(LN, shaved), margin=a * 1e-11).passed
 
 
+@pytest.mark.parametrize("margin", [float("nan"), -1.0, -1e-300])
+def test_margin_below_zero_or_nan_is_rejected(margin):
+    # every comparison with a nan margin is false, so it would pass any table
+    space = FiniteSpace(labels=("a", "b", "c"), dist=np.array([[0, 5, 1], [1, 0, 1], [2, 1, 7.0]]))
+    w = Witness(LN, 0.0)
+    for call in (lambda: check_identity_symmetry(space, margin), lambda: verify_D3(space, w, margin),
+                 lambda: min_chain_sums(space, margin)):
+        with pytest.raises(ValueError, match="margin must be >= 0"):
+            call()
+
+
+def test_nearest_label_skips_nan_labels():
+    space = FiniteSpace(labels=(float("nan"), 1, 2.5), dist=np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0.0]]))
+    assert space.nearest_label(1.0) == (1, True)
+    assert space.nearest_label(2.0) == (2.5, False)
+    only_nan = FiniteSpace(labels=(float("nan"), "x"), dist=np.array([[0, 1], [1, 0.0]]))
+    assert only_nan.nearest_label(0.0) == (None, False)
+
+
 def test_witness_rejects_negative_alpha():
     with pytest.raises(ValueError):
         Witness(LN, -0.1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fmetric import cli
-from fmetric.reports import _jsonable, dumps
+from fmetric.reports import ConditionReport, PropertyReport, SolveReport, _jsonable, dumps
 
 
 def reference(doc) -> str:
@@ -177,5 +177,58 @@ def test_verification_to_dict_equals_the_per_violation_construction():
     for r in reports:
         got, want = r.to_dict(), _parent_to_dict(r)
         assert got == want
+        assert json.dumps(got) == json.dumps(want)
+        assert dumps(got) == reference(want)
+
+
+def _hand_written_dict(report) -> dict:
+    """The dicts ConditionReport, SolveReport and PropertyReport built by hand
+    before they shared one field-wise to_dict."""
+    if isinstance(report, PropertyReport):
+        return {
+            "name": report.name,
+            "passed": report.passed,
+            "checked": report.checked,
+            "failures": _jsonable(report.failures),
+            "note": report.note,
+        }
+    if isinstance(report, ConditionReport):
+        return {
+            "condition": report.condition,
+            "passed": report.passed,
+            "checked": report.checked,
+            "violations": _jsonable(report.violations),
+            "margin_min": _jsonable(report.margin_min),
+            "source": report.source,
+        }
+    return {
+        "status": report.status,
+        "iterations": report.iterations,
+        "fixed_point": _jsonable(report.fixed_point),
+        "residual": _jsonable(report.residual),
+        "cycle": _jsonable(report.cycle),
+    }
+
+
+def test_field_wise_to_dict_equals_the_hand_written_dicts():
+    from fmetric import IterationTrace
+
+    inf, nan = float("inf"), float("nan")
+    reports = [
+        PropertyReport("F2(bumpy)", False, 30,
+                       [{"level": 1, "t": (np.float64(0.5), inf), "f": (nan, -inf)}], "thresholds "),
+        PropertyReport("F1(ln)", True, 400),
+        ConditionReport("kannan(id)", False, 5,
+                        [{"pair": (np.int64(2), 2.5), "lhs": inf, "rhs": np.float64(1.5)},
+                         {"i": 0, "j": np.int64(3), "eps": 0.1, "lhs": nan, "rhs": 0.1}],
+                        -inf, "random(seed=1, count=5)"),
+        ConditionReport("edelstein(square)", True, 0),
+        SolveReport("cycle_detected", 7, np.float64(0.25), nan, [(1, np.float64(2.0)), inf],
+                    IterationTrace([0.0, 0.5], [0.5], space="kept out")),
+        SolveReport("budget_exhausted", 3, trace=IterationTrace([1], [])),
+    ]
+    for r in reports:
+        got, want = r.to_dict(), _hand_written_dict(r)
+        assert list(got) == list(want)
         assert json.dumps(got) == json.dumps(want)
         assert dumps(got) == reference(want)
