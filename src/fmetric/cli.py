@@ -67,7 +67,7 @@ def _load_input(args) -> corpus.NamedExample:
     if sizes:
         raise DomainError(f"--{next(iter(sizes))} sizes a bundled example, not an --input file")
     space, witness, T = load_space_file(args.input)
-    return corpus.NamedExample(args.input, "space file", space, T, witness=witness)
+    return corpus.NamedExample(args.input, space, T, witness=witness)
 
 
 def _parse_point(text: str, space):
@@ -100,12 +100,11 @@ def _parse_point(text: str, space):
 
 
 def _resolve_witness(args, file_witness) -> Witness:
-    f_name = getattr(args, "f", None)
-    alpha = getattr(args, "alpha", None)
-    if f_name is None and file_witness is not None:
+    if args.f is None and file_witness is not None:
         f = file_witness.f
     else:
-        f = lookup_function(f_name or "ln", "generator")
+        f = lookup_function(args.f or "ln", "generator")
+    alpha = args.alpha
     if alpha is None:
         if file_witness is None:
             raise DomainError("no alpha: pass --alpha or provide a witness in the input")

@@ -97,7 +97,7 @@ def grid_pairs(space, count: int) -> PairSample:
 
 def all_pairs(space) -> PairSample:
     """Every unordered pair of the enumerated carrier."""
-    pts = space.points()
+    pts = _carrier(space) or space.points()
     return PairSample(tuple(itertools.combinations(pts, 2)), f"all_pairs({len(pts)} points)")
 
 

@@ -32,15 +32,10 @@ def _eval_from(fn, name, t, positive: bool):
 
 @dataclass(frozen=True)
 class FGenerator:
-    """Named scalar map on (0, inf), vectorized over numpy arrays.
-
-    class_f marks the functions expected to pass both sampled gates;
-    it is advisory, the checks are the source of truth.
-    """
+    """Named scalar map on (0, inf), vectorized over numpy arrays."""
 
     name: str
     fn: Callable = field(repr=False)
-    class_f: bool = True
 
     def eval(self, t):
         return _eval_from(self.fn, self.name, t, positive=True)
@@ -66,7 +61,7 @@ _GENERATORS = {
     "neg_inv": FGenerator("neg_inv", lambda t: -1.0 / t),
     # stays bounded near 0, so it must fail the F2 gate; kept as the
     # negative control for tests and demos
-    "id": FGenerator("id", lambda t: +t, class_f=False),
+    "id": FGenerator("id", lambda t: +t),
 }
 
 _ALTERING = {

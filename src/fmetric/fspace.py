@@ -165,8 +165,8 @@ class Witness:
     alpha: float
 
     def __post_init__(self):
-        if not (self.alpha >= 0.0):
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
 
 
 def distance_table(space, rows, cols=None) -> np.ndarray:

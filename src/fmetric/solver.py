@@ -8,8 +8,9 @@ in between, so a slowly converging orbit is not misread as a cycle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from itertools import compress
+from typing import Callable
 
 import numpy as np
 
@@ -43,7 +44,6 @@ class IterationTrace:
 
     points: list
     step_dist: list
-    space: Any = field(repr=False, default=None)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -64,7 +64,7 @@ def orbit(space, T: Callable, x0, n: int) -> IterationTrace:
             raise DomainError(f"orbit leaves the carrier at step {k}: {exc}") from exc
         steps.append(space.d(pts[-1], nxt))
         pts.append(nxt)
-    return IterationTrace(points=pts, step_dist=steps, space=space)
+    return IterationTrace(points=pts, step_dist=steps)
 
 
 def picard(space, T: Callable, x0, tol: float, max_iter: int) -> SolveReport:
@@ -78,8 +78,8 @@ def picard(space, T: Callable, x0, tol: float, max_iter: int) -> SolveReport:
     made by the iteration on every status (the residual re-check is not
     one of them).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     trace = orbit(space, T, x0, 0)
@@ -111,7 +111,7 @@ def picard(space, T: Callable, x0, tol: float, max_iter: int) -> SolveReport:
     return SolveReport(status=STATUS_BUDGET, iterations=max_iter, trace=trace)
 
 
-def accumulation_points(trace: IterationTrace, eps: float, min_hits: int) -> list:
+def accumulation_points(trace: IterationTrace, space, eps: float, min_hits: int) -> list:
     """Representatives of where the trace tail accumulates.
 
     The transient first half of the trace is discarded; the remaining
@@ -121,11 +121,10 @@ def accumulation_points(trace: IterationTrace, eps: float, min_hits: int) -> lis
     order follows first appearance, so the result is deterministic in
     the trace order.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     if min_hits < 1:
         raise ValueError("min_hits must be >= 1")
-    space = trace.space
     tail = trace.points[len(trace.points) // 2 :]
     reps = []   # cluster representatives, in creation order
     counts = []
@@ -167,8 +166,7 @@ def fixed_point_scan(space, T: Callable) -> list:
     Exhaustive over the enumerated carrier, so the result is complete
     for the scanned truncation (no claim beyond it).
     """
-    out = []
-    for z in space.points():
-        if space.d(z, apply_map(space, T, z)) == 0.0:
-            out.append(z)
-    return out
+    pts = space.points()
+    images = [apply_map(space, T, z) for z in pts]
+    fixed = space.dists(space.as_array(pts), space.as_array(images)) == 0.0
+    return list(compress(pts, fixed))

@@ -132,7 +132,7 @@ def test_criterion_2():
     ok = orbital_kannan_check(space, T, ID_PHI, x0, 200)
     if not ok.passed or not (ok.margin_min > 0):
         problems.append("orbital kannan failed on the inward orbit")
-    reps = accumulation_points(orbit(space, T, x0, 399), eps=1e-2, min_hits=5)
+    reps = accumulation_points(orbit(space, T, x0, 399), space, eps=1e-2, min_hits=5)
     if len(reps) != 2:
         problems.append(f"{len(reps)} accumulation points, expected 2")
     elif not (abs(reps[0] - 2.0) <= 1e-2 and abs(reps[1] + 2.0) <= 1e-2):

@@ -461,13 +461,14 @@ def test_a_size_flag_with_input_exit_2(capsys, tmp_path, flag):
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_min_alpha_and_verify_agree_on_a_nan_slack(capsys, tmp_path):
     # neg_inv(5e-324) overflows to -inf on both sides of (a, c), a nan
-    # slack; (a, b) has slack inf through the chain a-c-b
+    # slack; (a, b) has slack inf through the chain a-c-b, so no finite
+    # alpha passes, and an infinite one is not a witness constant
     p = tmp_path / "tiny.json"
     p.write_text(json.dumps({"points": ["a", "b", "c"],
                              "matrix": [[0, 1, 5e-324], [1, 0, 5e-324], [5e-324, 5e-324, 0]]}))
     assert run(capsys, "min-alpha", "--input", str(p), "--f", "neg_inv")[:2] == (0, "inf\n")
     verify = ("verify", "--input", str(p), "--f", "neg_inv", "--alpha")
-    assert run(capsys, *verify, "inf")[0] == 0
+    assert run(capsys, *verify, "inf")[:2] == (2, "")
     code, out, _ = run(capsys, *verify, "1e308")
     assert code == 1
     assert "(a, b): lhs=-1 rhs=-inf" in out
@@ -491,3 +492,56 @@ def test_verify_margin_below_zero_or_nan_exit_2(capsys, tmp_path, margin):
     code, out, err = run(capsys, "verify", "--input", str(p), "--alpha", "0", "--margin", margin)
     assert (code, out) == (2, "")
     assert err.startswith("error: margin must be >= 0") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_verify_infinite_alpha_exit_2(capsys, tmp_path, source):
+    # alpha = inf passed every D3 comparison; --alpha 1 fails rect-b
+    if source == "flag":
+        argv = ["--example", "rect-b", "--alpha", "inf"]
+    else:
+        p = tmp_path / "w.json"
+        p.write_text('{"points": ["a", "b"], "matrix": [[0, 1], [1, 0]], "witness": {"f": "ln", "alpha": 1e400}}')
+        argv = ["--input", str(p)]
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: alpha must be finite and >= 0, got inf\n"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_solve_tol_must_be_positive_and_finite(capsys, tol):
+    # nan ran the whole budget and inf "converged" at 1.0 with residual 0.5
+    code, out, err = run(capsys, "solve", "--example", "interval-halving", "--x0", "0", "--tol", tol)
+    assert (code, out) == (2, "")
+    assert err == f"error: tol must be positive and finite, got {float(tol)}\n"
+
+
+def test_solve_coarse_tol(capsys):
+    code, out, _ = run(capsys, "solve", "--example", "interval-halving", "--x0", "0", "--tol", "1e-3")
+    assert code == 0
+    assert out.startswith("status: converged\niterations: 11\nfixed_point: 0.6669921875\n")
+
+
+def test_check_all_pairs_needs_two_points(capsys, tmp_path):
+    p = tmp_path / "one.json"
+    p.write_text('{"points": [1], "matrix": [[0]], "map": {"affine": [1, 0]}}')
+    for extra in ([], ["--all-pairs"]):
+        code, out, err = run(capsys, "check", "kannan", "--input", str(p), *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: need at least two carrier points to form pairs\n"
+    code, _, err = run(capsys, "check", "kannan", "--example", "interval-halving", "--all-pairs")
+    assert (code, err) == (2, "error: this space has no finite enumeration\n")
+
+
+@pytest.mark.parametrize("scale, triggers, checked", [(None, 1129, 3627), ("0.5", 1127, 3625)])
+def test_check_shift_delta_scale(capsys, scale, triggers, checked):
+    argv = ["check", "shift", "--example", "interval-halving"]
+    code, out, _ = run(capsys, *argv, *(["--delta-scale", scale] if scale else []))
+    assert code == 0
+    assert f"0.01:{triggers}\n" in out and f"checked: {checked}\n" in out
+
+
+def test_check_shift_zero_delta_scale_exit_2(capsys):
+    code, out, err = run(capsys, "check", "shift", "--example", "interval-halving", "--delta-scale", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: delta_rule(0.5) = 0.0, must be positive\n"

@@ -179,6 +179,11 @@ def test_witness_rejects_negative_alpha():
         Witness(LN, -0.1)
 
 
+def test_witness_rejects_infinite_alpha():
+    with pytest.raises(ValueError, match="finite"):
+        Witness(LN, math.inf)
+
+
 def test_rect_b_alpha_closed_form():
     for n in (2, 7, 25, 50):
         a = min_alpha(rect_b_family(n), LN)

@@ -224,7 +224,7 @@ def test_field_wise_to_dict_equals_the_hand_written_dicts():
                         -inf, "random(seed=1, count=5)"),
         ConditionReport("edelstein(square)", True, 0),
         SolveReport("cycle_detected", 7, np.float64(0.25), nan, [(1, np.float64(2.0)), inf],
-                    IterationTrace([0.0, 0.5], [0.5], space="kept out")),
+                    IterationTrace([0.0, 0.5], [0.5])),
         SolveReport("budget_exhausted", 3, trace=IterationTrace([1], [])),
     ]
     for r in reports:

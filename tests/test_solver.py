@@ -102,6 +102,9 @@ def test_picard_parameter_validation():
     ex = interval_halving()
     with pytest.raises(ValueError):
         picard(ex.space, ex.map, 0.0, tol=0.0, max_iter=10)
+    for tol in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            picard(ex.space, ex.map, 0.0, tol=tol, max_iter=10)
     with pytest.raises(ValueError):
         picard(ex.space, ex.map, 0.0, tol=1e-9, max_iter=0)
 
@@ -110,7 +113,7 @@ def test_accumulation_points_two_limits():
     ex = oscillating_orbit_space(depth=250)
     x0 = 2.0 + 1.0 / 3.0
     tr = orbit(ex.space, ex.map, x0, 399)
-    reps = accumulation_points(tr, eps=1e-2, min_hits=5)
+    reps = accumulation_points(tr, ex.space, eps=1e-2, min_hits=5)
     assert len(reps) == 2
     assert abs(reps[0] - 2.0) < 1e-2
     assert abs(reps[1] + 2.0) < 1e-2
@@ -123,16 +126,18 @@ def test_accumulation_discards_transient():
     tr = orbit(sp, lambda x: 5.0, 5.0, 0)
     tr.points[:] = pts
     tr.step_dist[:] = steps
-    assert accumulation_points(tr, eps=0.5, min_hits=5) == [5.0]
+    assert accumulation_points(tr, sp, eps=0.5, min_hits=5) == [5.0]
 
 
 def test_accumulation_validation():
     ex = interval_halving()
     tr = orbit(ex.space, ex.map, 0.0, 10)
     with pytest.raises(ValueError):
-        accumulation_points(tr, eps=0.0, min_hits=2)
+        accumulation_points(tr, ex.space, eps=0.0, min_hits=2)
     with pytest.raises(ValueError):
-        accumulation_points(tr, eps=0.1, min_hits=0)
+        accumulation_points(tr, ex.space, eps=np.nan, min_hits=2)
+    with pytest.raises(ValueError):
+        accumulation_points(tr, ex.space, eps=0.1, min_hits=0)
 
 
 def test_cauchy_tail_contracting_orbit():
@@ -164,6 +169,11 @@ def test_fixed_point_scan():
     sp = FiniteSpace(labels=("a", "b"), dist=np.array([[0.0, 1.0], [1.0, 0.0]]))
     swap_b = {"a": "b", "b": "b"}
     assert fixed_point_scan(sp, lambda x: swap_b[x]) == ["b"]
+    seq = sequence_space(N=30).space
+    assert fixed_point_scan(seq, lambda i: i if i % 7 == 0 else i + 1) == [7, 14, 21, 28]
+    # the first point, in carrier order, where the map fails is the one named
+    with pytest.raises(DomainError, match="'b'"):
+        fixed_point_scan(sp, lambda x: {"a": "a"}[x])
 
 
 def test_fixed_point_scan_needs_enumeration():
