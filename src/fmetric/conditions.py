@@ -9,9 +9,10 @@ sample point once, take distances in one call of space.dists, and
 evaluate phi once per array; the orbit checks read the orbit that
 solver.orbit walked and map nothing again. Each float operation is the
 one a pair-by-pair evaluation would make, so reports are identical to it
-bit for bit, and a failing map or a negative distance raises the error
-that evaluation would meet first (shift: the first negative entry, in
-row-major order, of the upper triangle of the orbit's distance table).
+bit for bit. A check maps every distinct sample point (or walks the
+orbit) before it measures anything: a failing map raises for the first
+failing point in pair order, and only then is a negative distance
+rejected, by the DomainError that phi raises for it.
 """
 from __future__ import annotations
 
@@ -103,16 +104,13 @@ def all_pairs(space) -> PairSample:
 
 def _map_distinct(space, T, pairs):
     """Apply T once per distinct sample point, in pair order (x0, y0, x1, y1, ...),
-    so the first DomainError names the same point a pair-by-pair pass would.
+    so the first failing point in that order raises its DomainError.
 
-    Returns (where, u, tu, failure): where[k] is the rank among the
-    distinct points u of the point at flat position k, and tu holds their
-    images, both coded by space.as_array for space.dists. If T fails at a
-    point, failure is that DomainError and where keeps
-    only the pairs before the one where that point first appears, the
-    pairs a pair-by-pair pass would have finished. The dict of distinct
-    points dies on return, before the per-pair arrays are built, which
-    keeps peak memory near that of the sample itself.
+    Returns (where, u, tu): where[k] is the rank among the distinct points
+    u of the point at flat position k, and tu holds their images, both
+    coded by space.as_array for space.dists. The dict of distinct points
+    dies on return, before the per-pair arrays are built, which keeps peak
+    memory near that of the sample itself.
     """
     distinct = {}  # point -> rank of its first appearance
     where = np.fromiter(
@@ -120,57 +118,23 @@ def _map_distinct(space, T, pairs):
         dtype=np.intp,
         count=2 * len(pairs),
     )
-    failure = []
-
-    def images():
-        for p in distinct:
-            try:
-                yield apply_map(space, T, p)
-            except DomainError as exc:
-                failure.append(exc)
-                return
-
-    tu = space.as_array(images())
-    if failure:
-        first = int(np.flatnonzero(where == tu.size)[0])
-        where = where[: first - first % 2]
-    u = space.as_array(itertools.islice(distinct, tu.size))
-    return where, u, tu, failure[0] if failure else None
-
-
-def _raise_first_negative(phi, sides):
-    """Let phi reject the first negative distance in the order a pair-by-pair
-    pass evaluates them: pair by pair, and within a pair side by side."""
-    if any(np.any(s < 0) for s in sides):
-        stacked = np.column_stack(sides)
-        phi.eval(float(stacked[stacked < 0][0]))
+    tu = space.as_array(apply_map(space, T, p) for p in distinct)
+    return where, space.as_array(distinct), tu
 
 
 def _pair_sides(space, T, phi, pairs, kannan: bool):
     """lhs and rhs arrays of the Edelstein or Kannan inequality, one entry per pair.
 
-    Errors come out as from a pair-by-pair pass, which maps x and y, then
-    takes phi of d(Tx, Ty) and of d(x, y) (Kannan: d(x, Tx), d(y, Ty))
-    before it maps the next pair.
+    Every distinct point is mapped before any distance is taken; a
+    negative distance then raises phi's DomainError.
     """
-    where, u, tu, failure = _map_distinct(space, T, pairs)
+    where, u, tu = _map_distinct(space, T, pairs)
     wx, wy = where[0::2], where[1::2]
-    image_d = space.dists(tu[wx], tu[wy])
+    lhs = phi.eval(space.dists(tu[wx], tu[wy]))
     if kannan:
-        disp = space.dists(u, tu)  # d(u, Tu) once per distinct u
-        _raise_first_negative(phi, (image_d, disp[wx], disp[wy]))
-    else:
-        pair_d = space.dists(u[wx], u[wy])
-        _raise_first_negative(phi, (image_d, pair_d))
-    if failure is not None:
-        raise failure
-    lhs = phi.eval(image_d)
-    if kannan:
-        phi_disp = phi.eval(disp)
-        rhs = 0.5 * (phi_disp[wx] + phi_disp[wy])
-    else:
-        rhs = phi.eval(pair_d)
-    return lhs, rhs
+        phi_disp = phi.eval(space.dists(u, tu))  # phi(d(u, Tu)) once per distinct u
+        return lhs, 0.5 * (phi_disp[wx] + phi_disp[wy])
+    return lhs, phi.eval(space.dists(u[wx], u[wy]))
 
 
 def _strict_report(condition, lhs, rhs, source, tag) -> ConditionReport:
@@ -221,7 +185,6 @@ def orbital_kannan_check(space, T: Callable, phi: AlteringDistance, x0, count: i
     s = np.array(tr.step_dist, dtype=float)
     index = np.flatnonzero(s[:count] != 0.0)
     step, succ = s[index], s[index + 1]
-    _raise_first_negative(phi, (succ, step, succ))
     lhs = phi.eval(succ)
     rhs = 0.5 * (phi.eval(step) + lhs)
     index = index.tolist()
@@ -242,7 +205,6 @@ def monotone_step_check(trace: IterationTrace, phi: AlteringDistance) -> Conditi
     zero = np.flatnonzero(s == 0.0)
     if zero.size:
         s = s[: zero[0]]
-    _raise_first_negative(phi, (s[1:], s[:-1]))
     return _strict_report(
         f"monotone_step({phi.name})", phi.eval(s[1:]), phi.eval(s[:-1]),
         f"trace of {len(trace)} points", lambda k: {"step": int(k)},
@@ -266,23 +228,26 @@ def shift_condition_check(
     Violations record the (i, j, eps) triple. checked counts triggered
     pairs; an eps whose trigger never fires certifies nothing, which the
     caller can see from the per-eps trigger counts in the report note.
+    Every eps and its delta must be positive and finite.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if not eps_grid:
         raise ValueError("eps_grid must be non-empty")
+    levels = [(eps, float(delta_rule(eps))) for eps in eps_grid]
+    for eps, delta in levels:
+        if not 0 < eps < math.inf:
+            raise ValueError(f"eps levels must be positive and finite, got {eps}")
+        if not 0 < delta < math.inf:
+            raise ValueError(f"delta_rule({eps}) = {delta}, must be positive and finite")
     tr = orbit(space, T, x0, horizon + 1)
     upper = np.triu(distance_table(space, tr.points), 1)  # pairs i < j, zeros elsewhere
-    _raise_first_negative(phi, (upper,))
     pd = phi.eval(upper)
     near, succ = pd[:-1, :-1], pd[1:, 1:]
     violations = []
     margin = math.inf
     trigger_counts = []
-    for eps in eps_grid:
-        delta = float(delta_rule(eps))
-        if not (delta > 0):
-            raise ValueError(f"delta_rule({eps}) = {delta}, must be positive")
+    for eps, delta in levels:
         i, j = np.nonzero(np.triu(near < eps + delta, 1))
         lhs = succ[i, j]
         margin = float(np.fmin.reduce(eps - lhs, initial=margin))

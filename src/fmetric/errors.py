@@ -12,6 +12,8 @@ class DomainError(FmetricError):
 class UnknownFunctionError(FmetricError, KeyError):
     """Registry lookup for an unregistered function name."""
 
+    __str__ = Exception.__str__  # the message itself, not KeyError's repr of it
+
 
 class SpaceAxiomError(FmetricError, ValueError):
     """A precondition on the space (identity/symmetry) does not hold."""

@@ -18,6 +18,10 @@ from .errors import DomainError, UnknownFunctionError
 from .reports import PropertyReport
 
 _SMALLEST = 2.0 ** -200  # deepest grid point probed toward 0
+_F1_LO, _F1_HI, _F1_N = 1e-8, 1e8, 400  # geometric grid of the monotonicity gate
+_F2_DEPTH = 30  # levels f <= -M, M = 1..30, the divergence gate must reach
+_ALT_HI, _ALT_N, _ALT_TOL = 10.0, 1000, 0.1  # altering gate: grid, points, largest step
+_ALT_H = _ALT_HI / (_ALT_N * _ALT_N)  # continuity probe offset
 
 
 def _eval_from(fn, name, t, positive: bool):
@@ -92,42 +96,36 @@ def registered_altering() -> list[AlteringDistance]:
     return list(_ALTERING.values())
 
 
-def check_F1(f: FGenerator, lo: float = 1e-8, hi: float = 1e8, n: int = 400) -> PropertyReport:
+def check_F1(f: FGenerator) -> PropertyReport:
     """Sampled monotonicity gate: f non-decreasing on a geometric grid."""
-    if not (0 < lo < hi):
-        raise ValueError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
-    if n < 2:
-        raise ValueError("need at least two grid points")
-    grid = np.geomspace(lo, hi, n)
+    grid = np.geomspace(_F1_LO, _F1_HI, _F1_N)
     vals = f.eval(grid)
     first = np.flatnonzero(vals[1:] < vals[:-1])[:1]
     failures = [{"t": (grid[i], grid[i + 1]), "f": (vals[i], vals[i + 1])} for i in first]
     return PropertyReport(
         name=f"F1({f.name})",
         passed=not failures,
-        checked=n,
+        checked=_F1_N,
         failures=failures,
-        note=f"geometric grid [{lo:g}, {hi:g}]",
+        note=f"geometric grid [{_F1_LO:g}, {_F1_HI:g}]",
     )
 
 
-def check_F2(f: FGenerator, depth: int = 30) -> PropertyReport:
+def check_F2(f: FGenerator) -> PropertyReport:
     """Sampled divergence gate: f(t) -> -inf as t -> 0+.
 
-    For each level M = 1..depth, t_M is the first t in 1, 1/2, 1/4, ...
+    For each level M = 1..30, t_M is the first t in 1, 1/2, 1/4, ...
     down to 2^-200 with f(t) <= -M; the gate passes when every level is
     reached. (F2) also asks the converse, that f(t_n) -> -inf forces
     t_n -> 0; for a non-decreasing f (F1) it follows, since f >= f(c) on
     [c, inf) for every c > 0. So for such an f, reaching every level is
     all of (F2).
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     grid = 2.0 ** -np.arange(0, 201)
     vals = f.eval(grid)
     failures = []
     thresholds = []
-    for M in range(1, depth + 1):
+    for M in range(1, _F2_DEPTH + 1):
         hit = np.flatnonzero(vals <= -M)
         if hit.size == 0:
             failures.append({"level": M, "reason": f"no t >= {_SMALLEST:g} with f(t) <= {-M}"})
@@ -136,28 +134,22 @@ def check_F2(f: FGenerator, depth: int = 30) -> PropertyReport:
     return PropertyReport(
         name=f"F2({f.name})",
         passed=not failures,
-        checked=depth,
+        checked=_F2_DEPTH,
         failures=failures,
         note="thresholds " + ", ".join(f"{t:.3g}" for t in thresholds[:4]) + ("..." if len(thresholds) > 4 else ""),
     )
 
 
-def check_altering(
-    phi: AlteringDistance, hi: float = 10.0, n: int = 1000, cont_tol: float = 0.1
-) -> PropertyReport:
-    """Sampled altering-distance gate on [0, hi].
+def check_altering(phi: AlteringDistance) -> PropertyReport:
+    """Sampled altering-distance gate on [0, 10], a uniform grid of 1000 points.
 
     Checks phi(0) = 0, phi > 0 on the positive grid, monotonicity along
-    the grid, and |phi(t + h) - phi(t)| <= cont_tol with h = hi / n^2 at
+    the grid, and |phi(t + h) - phi(t)| <= 0.1 with h = 10 / 1000^2 at
     every grid point. The continuity probe only looks a distance h past
     each grid point, so a jump strictly between probes goes unseen; that
     is the usual trade of a sampled gate.
     """
-    if hi <= 0:
-        raise ValueError("hi must be positive")
-    if n < 3:
-        raise ValueError("need n >= 3 grid points")
-    grid = np.linspace(0.0, hi, n)
+    grid = np.linspace(0.0, _ALT_HI, _ALT_N)
     vals = phi.eval(grid)
     failures = []
     if vals[0] != 0.0:
@@ -173,16 +165,15 @@ def check_altering(
             i = int(dec[0])
             failures.append({"t": (grid[i], grid[i + 1]), "reason": "decreasing"})
     if not failures:
-        h = hi / (n * n)
-        jump = np.abs(phi.eval(grid + h) - vals)
-        rough = np.nonzero(jump > cont_tol)[0]
+        jump = np.abs(phi.eval(grid + _ALT_H) - vals)
+        rough = np.nonzero(jump > _ALT_TOL)[0]
         if rough.size:
             i = int(rough[0])
-            failures.append({"t": grid[i], "reason": f"step {jump[i]:.3g} > {cont_tol}"})
+            failures.append({"t": grid[i], "reason": f"step {jump[i]:.3g} > {_ALT_TOL}"})
     return PropertyReport(
         name=f"altering({phi.name})",
         passed=not failures,
-        checked=n,
+        checked=_ALT_N,
         failures=failures,
-        note=f"uniform grid [0, {hi:g}], step probe h = {hi / (n * n):g}",
+        note=f"uniform grid [0, {_ALT_HI:g}], step probe h = {_ALT_H:g}",
     )

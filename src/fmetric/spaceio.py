@@ -168,7 +168,12 @@ def _load_json(text: str, path: str):
             raise SpaceFormatError(f'{path}: witness must be {{"f": name, "alpha": number}}')
         if not isinstance(w["alpha"], (int, float)) or isinstance(w["alpha"], bool):
             raise SpaceFormatError(f"{path}: witness alpha must be a number")
-        witness = Witness(lookup_function(w["f"], "generator"), float(w["alpha"]))
+        try:
+            witness = Witness(lookup_function(w["f"], "generator"), float(w["alpha"]))
+        except OverflowError:
+            raise SpaceFormatError(f"{path}: witness alpha is an integer too large for a float") from None
+        except ValueError as e:
+            raise SpaceFormatError(f"{path}: witness {e}") from None
 
     T = _build_map(doc["map"], space) if "map" in doc else None
     return space, witness, T

@@ -505,7 +505,8 @@ def test_verify_infinite_alpha_exit_2(capsys, tmp_path, source):
         argv = ["--input", str(p)]
     code, out, err = run(capsys, "verify", *argv)
     assert (code, out) == (2, "")
-    assert err == "error: alpha must be finite and >= 0, got inf\n"
+    where = f"{p}: witness " if source == "file" else ""
+    assert err == f"error: {where}alpha must be finite and >= 0, got inf\n"
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
@@ -544,4 +545,56 @@ def test_check_shift_delta_scale(capsys, scale, triggers, checked):
 def test_check_shift_zero_delta_scale_exit_2(capsys):
     code, out, err = run(capsys, "check", "shift", "--example", "interval-halving", "--delta-scale", "0")
     assert (code, out) == (2, "")
-    assert err == "error: delta_rule(0.5) = 0.0, must be positive\n"
+    assert err == "error: delta_rule(0.5) = 0.0, must be positive and finite\n"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--eps-grid", "inf", "eps levels must be positive and finite, got inf"),
+    ("--delta-scale", "inf", "delta_rule(0.5) = inf, must be positive and finite"),
+], ids=["eps", "delta"])
+def test_check_shift_infinite_level_or_delta_exit_2(capsys, flag, value, message):
+    # an infinite level passed with margin_min inf; an infinite delta triggered every pair
+    code, out, err = run(capsys, "check", "shift", "--example", "interval-halving", flag, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def _negative_line_file(tmp_path, affine):
+    """Points 0..4 at distance |i - j|, except d(0, 1) = -0.5 and d(2, 3) = -3."""
+    m = [[abs(i - j) for j in range(5)] for i in range(5)]
+    m[0][1] = m[1][0] = -0.5
+    m[2][3] = m[3][2] = -3
+    p = tmp_path / "negative.json"
+    p.write_text(json.dumps({"points": list(range(5)), "matrix": m, "map": {"affine": affine}}))
+    return str(p)
+
+
+def test_check_map_error_comes_before_a_negative_distance(capsys, tmp_path):
+    # x -> x + 1 leaves the carrier at 4; the first pair, (0, 1), is at distance -0.5
+    p = _negative_line_file(tmp_path, [1, 1])
+    code, out, err = run(capsys, "check", "edelstein", "--input", p, "--all-pairs")
+    assert (code, out) == (2, "")
+    assert err == "error: affine image 5.0 of 4 is not in the carrier (nearest label 4 is 1 away)\n"
+    code, out, err = run(capsys, "check", "edelstein", "--input", _negative_line_file(tmp_path, [-1, 4]),
+                         "--all-pairs")
+    assert (code, out) == (2, "")
+    assert err in ("error: id is defined on t >= 0, got -0.5\n", "error: id is defined on t >= 0, got -3.0\n")
+
+
+@pytest.mark.parametrize("extra", [[], ["--alpha", "1"]])
+def test_verify_witness_alpha_too_large_for_a_float_exit_2(capsys, tmp_path, extra):
+    # a 401-digit alpha ended in an OverflowError traceback, also under --alpha 1
+    p = tmp_path / "w.json"
+    p.write_text('{"points": ["a", "b"], "matrix": [[0, 1], [1, 0]], '
+                 '"witness": {"f": "ln", "alpha": 1' + "0" * 400 + "}}")
+    code, out, err = run(capsys, "verify", "--input", str(p), *extra)
+    assert (code, out) == (2, "")
+    assert err == f"error: {p}: witness alpha is an integer too large for a float\n"
+
+
+def test_unknown_function_name_prints_without_quotes(capsys, tmp_path):
+    want = "error: no generator named 'foo'; registered: ['id', 'ln', 'neg_inv']\n"
+    assert run(capsys, "min-alpha", "--example", "rect-b", "--f", "foo") == (2, "", want)
+    p = tmp_path / "w.json"
+    p.write_text('{"points": ["a", "b"], "matrix": [[0, 1], [1, 0]], "witness": {"f": "foo", "alpha": 1}}')
+    assert run(capsys, "verify", "--input", str(p)) == (2, "", want)

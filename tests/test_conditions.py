@@ -250,6 +250,17 @@ def test_shift_sequence_violated_at_binding_levels():
     assert rep.checked > 0
 
 
+@pytest.mark.parametrize("eps, scale", [(math.inf, 1.0), (math.nan, 1.0), (0.0, 1.0), (-0.5, -1.0),
+                                         (0.5, math.inf), (0.5, math.nan), (0.5, -1.0)])
+def test_shift_levels_and_deltas_must_be_positive_and_finite(eps, scale):
+    # an infinite level passed vacuously and an infinite delta triggered every pair
+    ex = interval_halving()
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        shift_condition_check(
+            ex.space, ex.map, ID, 0.0, delta_rule=lambda e: scale * e, eps_grid=[0.5, eps], horizon=5
+        )
+
+
 def test_shift_validation():
     ex = interval_halving()
     with pytest.raises(ValueError):
@@ -401,23 +412,30 @@ def _negative_line():
 @pytest.mark.parametrize(
     "kannan, pairs",
     [
-        (False, [(1, 3), (0, 1), (1, 2)]),  # first negative -0.5, not the smallest -3
-        (False, [(0, 1), (3, 4)]),  # a negative distance before the map fails
+        (False, [(1, 3), (0, 1), (1, 2)]),  # no point fails the map; d(0, 1) = -0.5
+        (False, [(0, 1), (3, 4)]),  # the map fails at 4, after a pair at distance -0.5
         (False, [(3, 4), (0, 1)]),  # the map fails before a negative distance
         (False, [(1, 3), (2, 4), (0, 1)]),  # the map fails at y of the second pair
-        (True, [(1, 3), (0, 2)]),  # d(x, Tx) = -0.5 comes before d(y, Ty) = -3
-        (True, [(0, 2), (3, 4)]),
+        (True, [(1, 3), (0, 2)]),  # no point fails the map; d(0, T0) = -0.5, d(2, T2) = -3
+        (True, [(0, 2), (3, 4)]),  # the map fails at 4, after d(0, T0) = -0.5
     ],
 )
 def test_errors_match_the_pair_by_pair_order(kannan, pairs):
+    # every point is mapped, in pair order, before any distance is taken:
+    # a sample holding a point where the map fails raises that point's map
+    # error, even after a pair with a negative distance; any other sample
+    # raises phi's DomainError naming a negative distance
     space, T = _negative_line()
-    sample = PairSample(tuple(pairs), "explicit")
     check = kannan_check if kannan else edelstein_check
     with pytest.raises(DomainError) as got:
-        check(space, T, ID, sample)
-    with pytest.raises(DomainError) as want:
-        _scalar_pairwise("", space, T, ID, pairs, "", kannan)
-    assert str(got.value) == str(want.value)
+        check(space, T, ID, PairSample(tuple(pairs), "explicit"))
+    for p in (p for pair in pairs for p in pair):
+        try:
+            apply_map(space, T, p)
+        except DomainError as want:
+            assert str(got.value) == str(want)
+            return
+    assert str(got.value) in ("id is defined on t >= 0, got -0.5", "id is defined on t >= 0, got -3.0")
 
 
 def _loop_pairs(pts, count=None):

@@ -33,6 +33,13 @@ def test_lookup_unknown_lists_registered():
         lookup_function("exp", "generator")
 
 
+def test_unknown_function_error_reads_as_its_message():
+    # KeyError's str is the repr of its argument, which quoted the message
+    with pytest.raises(KeyError) as e:
+        lookup_function("cube", "altering")
+    assert str(e.value) == "no altering named 'cube'; registered: ['id', 'sqrt', 'square']"
+
+
 def test_lookup_bad_kind():
     with pytest.raises(ValueError):
         lookup_function("ln", "distance")
