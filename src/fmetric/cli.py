@@ -86,7 +86,10 @@ def _parse_point(text: str, space):
         if frac.denominator != 1:
             raise DomainError(f"points of this space are integers, got {text!r}")
         return int(frac)
-    val = float(frac)
+    try:
+        val = float(frac)
+    except OverflowError:
+        raise DomainError(f"point {text!r} is beyond the float range") from None
     if isinstance(space, FiniteSpace):
         best, within = space.nearest_label(val)
         if best is None:
@@ -178,6 +181,8 @@ def cmd_solve(args) -> tuple:
 
 def _make_sample(args, space) -> conditions.PairSample:
     if args.all_pairs:
+        if args.seed is not None:  # the parser rejects --pairs with --all-pairs
+            raise DomainError("--seed is not allowed with --all-pairs")
         return conditions.all_pairs(space)
     if args.seed is not None:
         return conditions.random_pairs(space, args.pairs, seed=args.seed)
@@ -202,12 +207,10 @@ def cmd_check(args) -> tuple:
         rep = conditions.orbital_kannan_check(space, T, phi, x0, args.count)
     else:
         x0 = _parse_point(args.x0, space)
-        eps_grid = [float(t) for t in args.eps_grid.split(",") if t.strip()]
-        scale = args.delta_scale
         rep = conditions.shift_condition_check(
             space, T, phi, x0,
-            delta_rule=lambda e: scale * e,
-            eps_grid=eps_grid,
+            delta_rule=lambda e: args.delta_scale * e,
+            eps_grid=args.eps_grid,
             horizon=args.horizon,
         )
     if args.output == "structured":
@@ -263,6 +266,14 @@ def _add_input_group(p: argparse.ArgumentParser) -> None:
     p.add_argument("--N", type=int, help="truncation bound for sequence-space")
 
 
+def _eps_levels(text: str) -> list:
+    """The --eps-grid levels: comma-separated floats, blank items skipped."""
+    try:
+        return [float(t) for t in text.split(",") if t.strip()]
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     gen_names = ", ".join(g.name for g in registered_generators())
     phi_names = ", ".join(a.name for a in registered_altering())
@@ -297,19 +308,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=10000)
     p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("check", parents=[common], help="test a contraction-style condition")
-    p.add_argument("condition", choices=("edelstein", "kannan", "orbital-kannan", "shift"))
-    _add_input_group(p)
-    p.add_argument("--phi", help=f"altering distance ({phi_names}); default id or the example's")
-    p.add_argument("--pairs", type=int, default=1000, help="sample size for pairwise conditions")
-    p.add_argument("--seed", type=int, help="draw pairs at random; omit for the deterministic grid")
-    p.add_argument("--all-pairs", action="store_true", help="use every pair of the carrier")
-    p.add_argument("--x0", default="0", help="orbit start for orbital-kannan and shift")
-    p.add_argument("--count", type=int, default=200, help="orbit pairs for orbital-kannan")
-    p.add_argument("--eps-grid", default="0.5,0.1,0.01", help="comma-separated eps levels for shift")
-    p.add_argument("--delta-scale", type=float, default=1.0, help="delta = scale * eps for shift")
-    p.add_argument("--horizon", type=int, default=50, help="orbit length for shift")
+    p = sub.add_parser("check", help="test a contraction-style condition")
     p.set_defaults(fn=cmd_check)
+    conds = p.add_subparsers(dest="condition", required=True)
+    cond = argparse.ArgumentParser(add_help=False, parents=[common])
+    _add_input_group(cond)
+    cond.add_argument("--phi", help=f"altering distance ({phi_names}); default id or the example's")
+    pairwise = argparse.ArgumentParser(add_help=False, parents=[cond])
+    size = pairwise.add_mutually_exclusive_group()
+    size.add_argument("--pairs", type=int, default=1000, help="sample size")
+    size.add_argument("--all-pairs", action="store_true", help="use every pair of the carrier")
+    pairwise.add_argument("--seed", type=int, help="draw pairs at random; omit for the deterministic grid")
+    orbit = argparse.ArgumentParser(add_help=False, parents=[cond])
+    orbit.add_argument("--x0", default="0", help="orbit start")
+    for name in ("edelstein", "kannan"):
+        conds.add_parser(name, parents=[pairwise])
+    conds.add_parser("orbital-kannan", parents=[orbit]).add_argument("--count", type=int, default=200)
+    p = conds.add_parser("shift", parents=[orbit])
+    p.add_argument("--eps-grid", type=_eps_levels, default="0.5,0.1,0.01", help="comma-separated eps levels")
+    p.add_argument("--delta-scale", type=float, default=1.0, help="delta = scale * eps")
+    p.add_argument("--horizon", type=int, default=50, help="orbit length")
 
     p = sub.add_parser("reproduce", parents=[common], help="re-derive an example's documented behavior")
     p.add_argument("example_id", choices=corpus.example_ids())

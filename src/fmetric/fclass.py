@@ -82,7 +82,7 @@ def lookup_function(name: str, kind: str):
         raise ValueError(f"unknown kind {kind!r}, expected 'generator' or 'altering'")
     try:
         return table[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name, say a list
         raise UnknownFunctionError(
             f"no {kind} named {name!r}; registered: {sorted(table)}"
         ) from None

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import corpus
-from .errors import DomainError, SpaceFormatError
+from .errors import DomainError, FmetricError, SpaceFormatError
 from .fclass import lookup_function
 from .fspace import FiniteSpace, Witness
 
@@ -138,26 +138,26 @@ def _build_map(entry, space: FiniteSpace) -> Callable:
     )
 
 
-def _load_json(text: str, path: str):
+def _load_json(text: str):
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
-        raise SpaceFormatError(f"{path}: invalid JSON ({e})") from None
+        raise SpaceFormatError(f"invalid JSON ({e})") from None
     if not isinstance(doc, dict):
-        raise SpaceFormatError(f"{path}: top level must be an object")
+        raise SpaceFormatError("top level must be an object")
     unknown = set(doc) - {"points", "matrix", "witness", "map"}
     if unknown:
-        raise SpaceFormatError(f"{path}: unknown keys {sorted(unknown)}")
+        raise SpaceFormatError(f"unknown keys {sorted(unknown)}")
     if "points" not in doc or "matrix" not in doc:
-        raise SpaceFormatError(f'{path}: needs "points" and "matrix" keys')
+        raise SpaceFormatError('needs "points" and "matrix" keys')
     labels = doc["points"]
     if not isinstance(labels, list) or not labels:
-        raise SpaceFormatError(f'{path}: "points" must be a non-empty list')
+        raise SpaceFormatError('"points" must be a non-empty list')
     for lab in labels:
         if not isinstance(lab, (int, float, str)) or isinstance(lab, bool):
-            raise SpaceFormatError(f"{path}: label {lab!r} must be a number or string")
+            raise SpaceFormatError(f"label {lab!r} must be a number or string")
     if not isinstance(doc["matrix"], list):
-        raise SpaceFormatError(f'{path}: "matrix" must be a list of rows')
+        raise SpaceFormatError('"matrix" must be a list of rows')
     m = _check_matrix(doc["matrix"], len(labels))
     space = FiniteSpace(labels=tuple(labels), dist=m)
 
@@ -165,24 +165,24 @@ def _load_json(text: str, path: str):
     if "witness" in doc:
         w = doc["witness"]
         if not isinstance(w, dict) or set(w) != {"f", "alpha"}:
-            raise SpaceFormatError(f'{path}: witness must be {{"f": name, "alpha": number}}')
+            raise SpaceFormatError('witness must be {"f": name, "alpha": number}')
         if not isinstance(w["alpha"], (int, float)) or isinstance(w["alpha"], bool):
-            raise SpaceFormatError(f"{path}: witness alpha must be a number")
+            raise SpaceFormatError("witness alpha must be a number")
         try:
             witness = Witness(lookup_function(w["f"], "generator"), float(w["alpha"]))
         except OverflowError:
-            raise SpaceFormatError(f"{path}: witness alpha is an integer too large for a float") from None
+            raise SpaceFormatError("witness alpha is an integer too large for a float") from None
         except ValueError as e:
-            raise SpaceFormatError(f"{path}: witness {e}") from None
+            raise SpaceFormatError(f"witness {e}") from None
 
     T = _build_map(doc["map"], space) if "map" in doc else None
     return space, witness, T
 
 
-def _load_csv(text: str, path: str):
+def _load_csv(text: str):
     rows = [r for r in csv.reader(text.splitlines()) if any(c.strip() for c in r)]
     if len(rows) < 2:
-        raise SpaceFormatError(f"{path}: need a header row and at least one matrix row")
+        raise SpaceFormatError("need a header row and at least one matrix row")
     labels = tuple(_parse_label(c) for c in rows[0])
     matrix = []
     for i, row in enumerate(rows[1:], 1):
@@ -190,7 +190,7 @@ def _load_csv(text: str, path: str):
             matrix.append(list(map(float, row)))
         except ValueError:
             for j, c in enumerate(row):
-                _parse_cell(c, f"{path}: row {i}, column {j}")
+                _parse_cell(c, f"row {i}, column {j}")
     m = _check_matrix(matrix, len(labels))
     return FiniteSpace(labels=labels, dist=m), None, None
 
@@ -200,9 +200,10 @@ def load_space_file(path) -> tuple[FiniteSpace, Optional[Witness], Optional[Call
 
     The format is sniffed: content starting with '{' is JSON, anything
     else is CSV. Structural problems raise SpaceFormatError naming the
-    offending row or key; metric axiom violations (negative entries,
-    broken symmetry) survive loading so that verification can report
-    them as findings rather than parse failures.
+    offending row or key; every error raised while parsing keeps its
+    class and leads its message with the path. Metric axiom violations
+    (negative entries, broken symmetry) survive loading so that
+    verification can report them as findings rather than parse failures.
     """
     p = Path(path)
     try:
@@ -211,6 +212,7 @@ def load_space_file(path) -> tuple[FiniteSpace, Optional[Witness], Optional[Call
         raise SpaceFormatError(f"cannot read {path}: {e}") from None
     if not text.strip():
         raise SpaceFormatError(f"{path} is empty")
-    if text.lstrip().startswith("{"):
-        return _load_json(text, str(path))
-    return _load_csv(text, str(path))
+    try:
+        return _load_json(text) if text.lstrip().startswith("{") else _load_csv(text)
+    except FmetricError as e:
+        raise type(e)(f"{path}: {e}") from None

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -379,7 +380,7 @@ def test_verify_integer_too_large_for_a_float_exit_2(capsys, tmp_path):
     p.write_text('{"points": [0, 1], "matrix": [[0, %d], [1, 0]]}' % 10 ** 400)
     code, out, err = run(capsys, "verify", "--input", str(p), "--alpha", "0")
     assert code == 2 and out == ""
-    assert err == "error: matrix entry (0, 1) is an integer too large for a float\n"
+    assert err == f"error: {p}: matrix entry (0, 1) is an integer too large for a float\n"
 
 
 def _expected_listing(reports, f_name, alpha) -> str:
@@ -593,8 +594,65 @@ def test_verify_witness_alpha_too_large_for_a_float_exit_2(capsys, tmp_path, ext
 
 
 def test_unknown_function_name_prints_without_quotes(capsys, tmp_path):
-    want = "error: no generator named 'foo'; registered: ['id', 'ln', 'neg_inv']\n"
-    assert run(capsys, "min-alpha", "--example", "rect-b", "--f", "foo") == (2, "", want)
+    message = "no generator named 'foo'; registered: ['id', 'ln', 'neg_inv']"
+    assert run(capsys, "min-alpha", "--example", "rect-b", "--f", "foo") == (2, "", f"error: {message}\n")
     p = tmp_path / "w.json"
     p.write_text('{"points": ["a", "b"], "matrix": [[0, 1], [1, 0]], "witness": {"f": "foo", "alpha": 1}}')
-    assert run(capsys, "verify", "--input", str(p)) == (2, "", want)
+    assert run(capsys, "verify", "--input", str(p)) == (2, "", f"error: {p}: {message}\n")
+
+
+_CHECK_FLAGS = {
+    "edelstein": ("--pairs", "--seed", "--all-pairs"),
+    "kannan": ("--pairs", "--seed", "--all-pairs"),
+    "orbital-kannan": ("--x0", "--count"),
+    "shift": ("--x0", "--eps-grid", "--delta-scale", "--horizon"),
+}
+_FLAG_ARGV = {"--pairs": ["--pairs", "5"], "--seed": ["--seed", "3"], "--all-pairs": ["--all-pairs"],
+              "--x0": ["--x0", "1"], "--count": ["--count", "5"], "--eps-grid": ["--eps-grid", "0.5"],
+              "--delta-scale": ["--delta-scale", "1"], "--horizon": ["--horizon", "9"]}
+_REJECTED = [
+    # the 20 (condition, flag) settings no condition reads
+    *((c, _FLAG_ARGV[f]) for c in _CHECK_FLAGS for f in _FLAG_ARGV if f not in _CHECK_FLAGS[c]),
+    # --all-pairs samples every pair, so it takes no sample size or seed
+    *((c, ["--all-pairs", *_FLAG_ARGV[f]]) for c in ("edelstein", "kannan") for f in ("--pairs", "--seed")),
+]
+
+
+@pytest.mark.parametrize("condition, extra", _REJECTED,
+                         ids=[c + "".join(a for a in e if a.startswith("--")) for c, e in _REJECTED])
+def test_check_rejects_a_flag_its_condition_does_not_read(capsys, condition, extra):
+    # on sequence-space every condition runs from x0 = 1, so the flag alone makes the error
+    start = ["--x0", "1"] if "--x0" in _CHECK_FLAGS[condition] else []
+    code, out, err = run(capsys, "check", condition, "--example", "sequence-space", "--N", "30", *start, *extra)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err and "error: " in err
+
+
+@pytest.mark.parametrize("condition", list(_CHECK_FLAGS))
+def test_check_help_lists_only_its_conditions_flags(capsys, condition):
+    assert main(["check", condition, "--help"]) == 0
+    listed = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.MULTILINE)
+    assert set(listed) & set(_FLAG_ARGV) == set(_CHECK_FLAGS[condition])
+
+
+def test_check_options_follow_the_condition_name(capsys):
+    code, out, err = run(capsys, "check", "--example", "interval-halving", "kannan", "--pairs", "5")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'interval-halving'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--example", "interval-halving", "--x0", "1e400"],
+    ["check", "orbital-kannan", "--example", "interval-halving", "--x0", "1e400"],
+], ids=["solve", "orbital-kannan"])
+def test_x0_beyond_the_float_range_exit_2(capsys, argv):
+    # float(Fraction("1e400")) ended in an OverflowError traceback with exit 1
+    assert run(capsys, *argv) == (2, "", "error: point '1e400' is beyond the float range\n")
+
+
+def test_check_shift_bad_eps_grid_names_the_flag(capsys):
+    code, out, err = run(capsys, "check", "shift", "--example", "interval-halving", "--eps-grid", "0.5,a")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --eps-grid: could not convert string to float: 'a'\n")
+    code, out, err = run(capsys, "check", "shift", "--example", "interval-halving", "--eps-grid", "")
+    assert (code, out, err) == (2, "", "error: eps_grid must be non-empty\n")

@@ -81,13 +81,15 @@ def test_csv_numeric_labels_parse(tmp_path):
 
 
 def test_empty_file(tmp_path):
-    with pytest.raises(SpaceFormatError):
+    with pytest.raises(SpaceFormatError) as e:
         load_space_file(write(tmp_path, "e.csv", "  \n"))
+    assert str(e.value) == f"{tmp_path / 'e.csv'} is empty"
 
 
 def test_missing_file():
-    with pytest.raises(SpaceFormatError):
+    with pytest.raises(SpaceFormatError) as e:
         load_space_file("/nonexistent/path.json")
+    assert str(e.value).startswith("cannot read /nonexistent/path.json: ")
 
 
 def test_csv_bad_cell_names_position(tmp_path):
@@ -180,11 +182,11 @@ def test_matrix_rejects_non_numbers(tmp_path):
         load_space_file(write(tmp_path, "str.json", json.dumps(doc)))
 
 
-def _json_matrix_error(tmp_path, matrix: str) -> str:
+def _json_matrix_error(tmp_path, matrix: str) -> tuple:
     p = write(tmp_path, "m.json", '{"points": ["a", "b"], "matrix": %s}' % matrix)
     with pytest.raises(SpaceFormatError) as e:
         load_space_file(p)
-    return str(e.value)
+    return str(e.value), str(p)
 
 
 @pytest.mark.parametrize("matrix, message", [
@@ -206,7 +208,8 @@ def _json_matrix_error(tmp_path, matrix: str) -> str:
     ('[[0, 1], 5]', "matrix row 1 is 5, not a list"),
 ])
 def test_json_matrix_error_names_first_offending_entry(tmp_path, matrix, message):
-    assert _json_matrix_error(tmp_path, matrix) == message
+    got, path = _json_matrix_error(tmp_path, matrix)
+    assert got == f"{path}: {message}"
 
 
 def _csv_error(tmp_path, text: str) -> tuple:
@@ -222,7 +225,8 @@ def _csv_error(tmp_path, text: str) -> tuple:
     ("a,b\n0,1\n1\n", "matrix row 1 has 1 entries, expected 2"),
 ])
 def test_csv_matrix_errors(tmp_path, text, message):
-    assert _csv_error(tmp_path, text)[0] == message
+    got, path = _csv_error(tmp_path, text)
+    assert got == f"{path}: {message}"
 
 
 @pytest.mark.parametrize("text, where", [
@@ -268,3 +272,18 @@ def test_csv_matrix_bits_match_entrywise_conversion(tmp_path):
     space, _, _ = load_space_file(write(tmp_path, "m.csv", text))
     want = _reference_matrix([[float(c) for c in row] for row in cells])
     assert space.dist.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("doc, error, message", [
+    ({"witness": {"f": ["ln"], "alpha": 1}}, UnknownFunctionError,
+     "no generator named ['ln']; registered: ['id', 'ln', 'neg_inv']"),
+    ({"map": "nope"}, DomainError,
+     "unknown example 'nope'; known: interval-halving, oscillating-orbit, sequence-space, rect-b"),
+    ({"points": ["a", "a"]}, SpaceAxiomError, "duplicate point labels"),
+], ids=["unhashable-f", "unknown-map", "duplicate-labels"])
+def test_every_parse_error_begins_with_the_path_and_keeps_its_class(tmp_path, doc, error, message):
+    p = write(tmp_path, "w.json", json.dumps({"points": ["a", "b"], "matrix": [[0, 1], [1, 0]], **doc}))
+    with pytest.raises(error) as e:
+        load_space_file(p)
+    assert type(e.value) is error and str(e.value) == f"{p}: {message}"
+
