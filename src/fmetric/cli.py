@@ -294,19 +294,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", help=f"generator name ({gen_names}); default ln or the input witness")
     p.add_argument("--alpha", type=float, help="witness constant; default from the input")
     p.add_argument("--margin", type=float, default=0.0, help="slack added to every comparison")
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(fn=cmd_verify, leaf=p)
 
     p = sub.add_parser("min-alpha", parents=[common], help="smallest admissible alpha")
     _add_input_group(p)
     p.add_argument("--f", default="ln", help=f"generator name ({gen_names})")
-    p.set_defaults(fn=cmd_min_alpha)
+    p.set_defaults(fn=cmd_min_alpha, leaf=p)
 
     p = sub.add_parser("solve", parents=[common], help="run the fixed-point iteration")
     _add_input_group(p)
     p.add_argument("--x0", required=True, help='starting point ("0", "2", "7/3")')
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-iter", type=int, default=10000)
-    p.set_defaults(fn=cmd_solve)
+    p.set_defaults(fn=cmd_solve, leaf=p)
 
     p = sub.add_parser("check", help="test a contraction-style condition")
     p.set_defaults(fn=cmd_check)
@@ -328,23 +328,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-grid", type=_eps_levels, default="0.5,0.1,0.01", help="comma-separated eps levels")
     p.add_argument("--delta-scale", type=float, default=1.0, help="delta = scale * eps")
     p.add_argument("--horizon", type=int, default=50, help="orbit length")
+    for leaf in conds.choices.values():
+        leaf.set_defaults(leaf=leaf)
 
     p = sub.add_parser("reproduce", parents=[common], help="re-derive an example's documented behavior")
     p.add_argument("example_id", choices=corpus.example_ids())
-    p.set_defaults(fn=cmd_reproduce)
+    p.set_defaults(fn=cmd_reproduce, leaf=p)
 
     p = sub.add_parser("profile-alpha", parents=[common], help="alpha growth across the rect-b family")
     p.add_argument("--f", default="ln", help=f"generator name ({gen_names})")
     p.add_argument("--from", dest="from_n", type=int, required=True, metavar="N")
     p.add_argument("--to", dest="to_n", type=int, required=True, metavar="N")
-    p.set_defaults(fn=cmd_profile_alpha)
+    p.set_defaults(fn=cmd_profile_alpha, leaf=p)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unread = parser.parse_known_args(argv)
+        if unread:  # reported with the usage of the command invoked
+            args.leaf.error(f"unrecognized arguments: {' '.join(unread)}")
     except SystemExit as e:  # argparse exits itself on usage errors and --help
         return int(e.code or 0)
     try:

@@ -292,9 +292,8 @@ def _reproduce_sequence() -> list:
     ex = sequence_space()
     N = ex.expected["truncation"]
     checks = []
-    bound = N // 3
-    pairs = tuple((i, j) for i in range(1, bound + 1) for j in range(i + 1, bound + 1))
-    sample = conditions.PairSample(pairs, f"all pairs with tripled indices <= {N}")
+    # the pairs whose images stay inside the truncation
+    sample = conditions.all_pairs(sequence_space(N=N // 3).space)
     kan = conditions.kannan_check(ex.space, ex.map, ex.phi, sample)
     checks.append((
         "averaged contraction strict on every pair",

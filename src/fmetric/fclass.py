@@ -153,12 +153,12 @@ def check_altering(phi: AlteringDistance) -> PropertyReport:
     vals = phi.eval(grid)
     failures = []
     if vals[0] != 0.0:
-        failures.append({"t": 0.0, "reason": f"phi(0) = {vals[0]!r}, expected 0"})
+        failures.append({"t": 0.0, "reason": f"phi(0) = {float(vals[0])!r}, expected 0"})
     if not failures:
         pos_bad = np.nonzero(vals[1:] <= 0.0)[0]
         if pos_bad.size:
             i = int(pos_bad[0]) + 1
-            failures.append({"t": grid[i], "reason": f"phi(t) = {vals[i]!r} not positive"})
+            failures.append({"t": grid[i], "reason": f"phi(t) = {float(vals[i])!r} not positive"})
     if not failures:
         dec = np.nonzero(np.diff(vals) < 0)[0]
         if dec.size:

@@ -13,6 +13,7 @@ the axiom, and its maximum over pairs is the smallest admissible alpha.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Any, Callable, Optional, Sequence
@@ -295,15 +296,29 @@ def open_ball(space, x, r: float) -> set:
     return set(compress(pts, (row < r).tolist()))
 
 
+def _least_n(a: float, b: float, t: float, too_far: Callable[[], str]) -> int:
+    """Least n >= 1 with a / (b * n) <= t in floats: the ceiling of the
+    estimate a / (b * t), moved by whole steps until rounding agrees.
+    RuntimeError(too_far()) if the estimate is 2**53 or more."""
+    q = a / (b * t)
+    if not q < 2.0 ** 53:
+        raise RuntimeError(too_far())
+    n = max(1, math.ceil(q))
+    while not a / (b * n) <= t:
+        n += 1
+    while n > 1 and a / (b * (n - 1)) <= t:
+        n -= 1
+    return n
+
+
 def hausdorff_witness(space, x, y) -> tuple:
     """Smallest n >= 1 such that balls of radius d(x,y)/(2n) around x and
     y are disjoint. Returns (n, radius).
 
     The balls of radius r share a point z exactly when max(d(x, z),
     d(y, z)) < r, so they are disjoint once r <= m, the least such max
-    over the carrier, read from one row of distances per center. The
-    first n is then ceil(d/(2m)), moved by one step at a time until it is
-    the smallest n for which the float radius d/(2.0*n) is <= m.
+    over the carrier, read from one row of distances per center. n is
+    the least one whose float radius d/(2.0*n) is <= m.
     """
     if x == y:
         raise DomainError("need two distinct points")
@@ -317,52 +332,35 @@ def hausdorff_witness(space, x, y) -> tuple:
         raise SpaceAxiomError(
             f"a point within distance {m} of both {x!r} and {y!r}, identity axiom broken"
         )
-    q = dxy / (2.0 * m)
-    if not q < 2.0 ** 53:
-        raise RuntimeError(f"separating d({x!r}, {y!r})/(2n) needs n >= 2**53")
-    n = max(1, math.ceil(q))
-    while not dxy / (2.0 * n) <= m:
-        n += 1
-    while n > 1 and dxy / (2.0 * (n - 1)) <= m:
-        n -= 1
+    n = _least_n(dxy, 2.0, m, lambda: f"separating d({x!r}, {y!r})/(2n) needs n >= 2**53")
     return n, dxy / (2.0 * n)
 
 
 def ball_base(space, x) -> list:
     """Distinct balls B(x, 1/n), n = 1, 2, ..., down to the singleton {x}.
 
-    Consecutive duplicates are dropped; the list always ends with {x},
-    reached once 1/n drops to the smallest positive distance from x.
-    Every ball comes from one row of distances from x: sorted, a ball
-    is the prefix of points nearer than 1/n. The ball next shrinks at the
-    first n with 1.0/n at most the farthest distance still inside, so n
-    jumps to the ceiling of its reciprocal, moved down while n - 1 also
-    qualifies (a ceiling one short shrinks nothing; the next pass goes on).
+    Every ball comes from one row of distances from x, sorted with nan
+    last: B(x, 1/n) is the prefix of points nearer than 1.0/n, which
+    holds no point at a nan distance. One walk down the row takes the
+    balls widest first; the next one is B(x, 1/n) at the least n whose
+    1.0/n is at most the farthest distance in the current one.
     """
     pts, (row,) = _center_rows(space, [x])
-    others = [d for y, d in zip(pts, row.tolist()) if y != x]
+    # a point at a nan distance (d != d) is in no ball, so it breaks nothing
+    others = [d for y, d in zip(pts, row.tolist()) if y != x and d == d]
     if others and min(others) <= 0.0:
         raise SpaceAxiomError(f"a point at distance {min(others)} from {x!r} breaks the identity axiom")
     order = np.argsort(row).tolist()
     near = row[order].tolist()
+    ranked = [pts[i] for i in order]
     base = []
-    count = len(near)
-    n = 1
+    count = bisect_left(near, 1.0)
     while True:
-        r = 1.0 / n
-        while count and not near[count - 1] < r:
-            count -= 1
-        # balls only shrink as n grows, so equal sizes mean equal balls
-        if not base or count != len(base[-1]):
-            base.append({pts[k] for k in order[:count]})
+        base.append(set(ranked[:count]))
+        if x not in base[-1]:
+            raise SpaceAxiomError(f"d({x!r}, {x!r}) > 0 leaves {x!r} out of its own balls")
         if base[-1] == {x}:
             return base
-        if not count:
-            raise SpaceAxiomError(f"d({x!r}, {x!r}) > 0 leaves {x!r} out of its own balls")
-        far = near[count - 1]
-        if not 1.0 / far < 2.0 ** 53:
-            raise RuntimeError(f"a ball around {x!r} shrinks again only at n >= 2**53")
-        step = max(n + 1, math.ceil(1.0 / far))
-        while step - 1 > n and 1.0 / (step - 1) <= far:
-            step -= 1
-        n = step
+        n = _least_n(1.0, 1.0, near[count - 1],
+                     lambda: f"a ball around {x!r} shrinks again only at n >= 2**53")
+        count = bisect_left(near, 1.0 / n)

@@ -132,7 +132,15 @@ def _build_map(entry, space: FiniteSpace) -> Callable:
             or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeffs)
         ):
             raise SpaceFormatError('map "affine" takes two numeric coefficients [a, b]')
-        return _affine_map(float(coeffs[0]), float(coeffs[1]), space)
+        ab = []
+        for name, c in zip("ab", coeffs):
+            try:
+                ab.append(float(c))
+            except OverflowError:
+                raise SpaceFormatError(
+                    f'map "affine" coefficient {name} is an integer too large for a float'
+                ) from None
+        return _affine_map(*ab, space)
     raise SpaceFormatError(
         f'map must be an example id or {{"affine": [a, b]}}, got {entry!r}'
     )
@@ -143,8 +151,7 @@ def _load_json(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise SpaceFormatError(f"invalid JSON ({e})") from None
-    if not isinstance(doc, dict):
-        raise SpaceFormatError("top level must be an object")
+    # text parsed as JSON starts with "{", so doc is an object
     unknown = set(doc) - {"points", "matrix", "witness", "map"}
     if unknown:
         raise SpaceFormatError(f"unknown keys {sorted(unknown)}")

@@ -656,3 +656,57 @@ def test_check_shift_bad_eps_grid_names_the_flag(capsys):
     assert err.endswith("error: argument --eps-grid: could not convert string to float: 'a'\n")
     code, out, err = run(capsys, "check", "shift", "--example", "interval-halving", "--eps-grid", "")
     assert (code, out, err) == (2, "", "error: eps_grid must be non-empty\n")
+
+
+@pytest.mark.parametrize("argv, leaf, unread", [
+    (["check", "kannan", "--example", "interval-halving", "--count", "5"], "check kannan", "--count 5"),
+    (["verify", "--example", "rect-b", "--bogus"], "verify", "--bogus"),
+], ids=["check-kannan", "verify"])
+def test_an_unread_flag_is_reported_with_the_invoked_commands_usage(capsys, argv, leaf, unread):
+    # the top-level parser reported it with its own usage line
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: fmetric {leaf} [-h]")
+    assert err.endswith(f"fmetric {leaf}: error: unrecognized arguments: {unread}\n")
+
+
+@pytest.mark.parametrize("coeffs, name", [("[1%s, 0]", "a"), ("[1, -1%s]", "b")], ids=["a", "b"])
+def test_affine_coefficient_too_large_for_a_float_exit_2(capsys, tmp_path, coeffs, name):
+    # float() of a 401-digit coefficient ended in an OverflowError traceback with exit 1
+    p = tmp_path / "a.json"
+    p.write_text('{"points": [0, 1], "matrix": [[0, 1], [1, 0]], "map": {"affine": %s}}' % coeffs % ("0" * 400))
+    assert run(capsys, "check", "kannan", "--input", str(p)) == (
+        2, "", f'error: {p}: map "affine" coefficient {name} is an integer too large for a float\n')
+
+
+def _discrete_space_file(tmp_path, points, map_entry):
+    p = tmp_path / "s.json"
+    n = len(points)
+    p.write_text(json.dumps({"points": points, "matrix": [[int(i != j) for j in range(n)] for i in range(n)],
+                             "map": map_entry}))
+    return str(p)
+
+
+def test_x0_names_a_string_label(capsys, tmp_path):
+    # "a" is a carrier label, so it is the start point; the affine map is undefined there
+    p = _discrete_space_file(tmp_path, ["a", 0, 1], {"affine": [0, 1]})
+    assert run(capsys, "solve", "--input", p, "--x0", "a") == (
+        2, "", "error: affine map is undefined at non-numeric point 'a'\n")
+    code, out, _ = run(capsys, "solve", "--input", p, "--x0", "0")
+    assert code == 0 and "fixed_point: 1" in out
+
+
+def test_numeric_x0_on_a_carrier_without_numeric_labels(capsys, tmp_path):
+    p = _discrete_space_file(tmp_path, ["a", "b"], "oscillating-orbit")
+    assert run(capsys, "solve", "--input", p, "--x0", "7") == (
+        2, "", "error: carrier has no numeric points to match '7'\n")
+
+
+def test_fractional_x0_on_sequence_space(capsys):
+    assert run(capsys, "solve", "--example", "sequence-space", "--x0", "1.5") == (
+        2, "", "error: points of this space are integers, got '1.5'\n")
+
+
+def test_solve_needs_a_map(capsys):
+    assert run(capsys, "solve", "--example", "rect-b", "--x0", "0") == (
+        2, "", "error: rect-b carries no map; solve needs one\n")

@@ -157,3 +157,15 @@ def test_check_altering_probe_misses_jump_between_windows():
         fn=lambda t: np.where(np.asarray(t) > 1.0, np.asarray(t) + 5.0, np.asarray(t, dtype=float)),
     )
     assert check_altering(step).passed
+
+
+@pytest.mark.parametrize("fn, reason", [
+    (lambda t: 1.0 + np.asarray(t, dtype=float), "phi(0) = 1.0, expected 0"),
+    (lambda t: np.maximum(np.asarray(t, dtype=float) - 1.0, 0.0), "phi(t) = 0.0 not positive"),
+    (lambda t: np.where(np.asarray(t) > 5.0, 1.0, np.asarray(t, dtype=float)), "decreasing"),
+], ids=["offset", "flat-start", "drop-at-5"])
+def test_check_altering_reasons_print_python_floats(fn, reason):
+    # numpy 2 printed phi(0) = np.float64(1.0)
+    rep = check_altering(AlteringDistance(name="probe", fn=fn))
+    assert not rep.passed
+    assert [f["reason"] for f in rep.failures] == [reason]

@@ -392,6 +392,35 @@ def test_ball_errors_keep_their_order():
                               dist=[[0, 2, -1], [2, 0, 0.5], [-1, 0.5, 0]]), "a")
 
 
+def test_ball_base_skips_a_point_at_a_nan_distance():
+    space = _line([0.0, 0.5, math.nan, 0.25])
+    assert ball_base(space, 0.0) == [{0.0, 0.25, 0.5}, {0.0, 0.25}, {0.0}] == _scalar_ball_base(space, 0.0)
+
+
+def test_ball_base_names_the_identity_breach_before_the_2_53_limit():
+    # d(x, x) > 0 and a link below 2**-53: x leaves its balls at n = 2, which
+    # decides the answer before any ball needs n >= 2**53
+    space = FiniteSpace(("x", "y"), [[0.5, 1e-300], [1e-300, 0]])
+    with pytest.raises(SpaceAxiomError, match="leaves 'x' out of its own balls"):
+        ball_base(space, "x")
+
+
+def test_ball_base_on_a_carrier_that_enumerates_a_point_twice():
+    # two prefixes of the sorted row give the same ball {0.0}
+    space = _line([0.0, 0.0, 1.0, 0.5])
+    assert ball_base(space, 0.0) == [{0.0, 0.5}, {0.0}] == _scalar_ball_base(space, 0.0)
+
+
+def test_ball_base_identity_guard_skips_nan_distances():
+    # the first other point sits at a nan distance, the next one at 0
+    table = {(1, 2): math.nan, (1, 3): 0.0, (1, 4): 0.5}
+    rule = np.vectorize(lambda a, b: 0.0 if a == b else table.get((min(a, b), max(a, b)), 1.0),
+                        otypes=[float])
+    space = AnalyticSpace(point_kind="basis_index", dist_rule=rule, enumerator=lambda: [1, 2, 3, 4])
+    with pytest.raises(SpaceAxiomError, match="a point at distance 0.0 from 1 breaks the identity axiom"):
+        ball_base(space, 1)
+
+
 def test_analytic_space_membership_and_points():
     line = AnalyticSpace(
         point_kind="real",

@@ -85,6 +85,18 @@ def test_picard_budget_exhausted():
     assert rep.fixed_point is None
 
 
+def test_picard_keeps_iterating_when_the_residual_disagrees():
+    # the step 0 -> 1e-10 is within tol, but 1e-10 maps to 5, so the
+    # residual re-check fails and the iteration goes on to the fixed point 5
+    pts = (0.0, 1e-10, 5.0)
+    sp = FiniteSpace(labels=pts, dist=np.abs(np.subtract.outer(pts, pts)))
+    T = {0.0: 1e-10, 1e-10: 5.0, 5.0: 5.0}.__getitem__
+    rep = picard(sp, T, 0.0, tol=1e-9, max_iter=10)
+    assert rep.status == STATUS_CONVERGED
+    assert rep.iterations == 3
+    assert rep.fixed_point == 5.0
+
+
 @pytest.mark.parametrize("make, x0, max_iter, status", [
     (interval_halving, 0.0, 200, STATUS_CONVERGED),
     (lambda: oscillating_orbit_space(depth=5), 2.0, 50, STATUS_CYCLE),

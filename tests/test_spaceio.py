@@ -287,3 +287,32 @@ def test_every_parse_error_begins_with_the_path_and_keeps_its_class(tmp_path, do
         load_space_file(p)
     assert type(e.value) is error and str(e.value) == f"{p}: {message}"
 
+
+
+_AB = {"points": ["a", "b"], "matrix": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"points": ["a"]}, 'needs "points" and "matrix" keys'),
+    ({"matrix": [[0]]}, 'needs "points" and "matrix" keys'),
+    ({"points": [], "matrix": []}, '"points" must be a non-empty list'),
+    ({"points": [None, "b"], "matrix": [[0, 1], [1, 0]]}, "label None must be a number or string"),
+    ({"points": [True, "b"], "matrix": [[0, 1], [1, 0]]}, "label True must be a number or string"),
+    ({"points": ["a"], "matrix": {"a": [0]}}, '"matrix" must be a list of rows'),
+    ({**_AB, "witness": {"f": "ln", "alpha": "1"}}, "witness alpha must be a number"),
+    ({**_AB, "map": "rect-b"}, "example 'rect-b' has no map to borrow"),
+    ({**_AB, "map": 5}, 'map must be an example id or {"affine": [a, b]}, got 5'),
+], ids=["no-matrix", "no-points", "empty-points", "null-label", "bool-label", "matrix-object",
+        "string-alpha", "borrowed-without-map", "map-number"])
+def test_json_structure_errors_name_the_file(tmp_path, doc, message):
+    p = write(tmp_path, "s.json", json.dumps(doc))
+    with pytest.raises(SpaceFormatError) as e:
+        load_space_file(p)
+    assert str(e.value) == f"{p}: {message}"
+
+
+def test_csv_without_a_matrix_row(tmp_path):
+    p = write(tmp_path, "h.csv", "a,b\n\n")
+    with pytest.raises(SpaceFormatError) as e:
+        load_space_file(p)
+    assert str(e.value) == f"{p}: need a header row and at least one matrix row"
