@@ -181,8 +181,6 @@ def cmd_solve(args) -> tuple:
 
 def _make_sample(args, space) -> conditions.PairSample:
     if args.all_pairs:
-        if args.seed is not None:  # the parser rejects --pairs with --all-pairs
-            raise DomainError("--seed is not allowed with --all-pairs")
         return conditions.all_pairs(space)
     if args.seed is not None:
         return conditions.random_pairs(space, args.pairs, seed=args.seed)
@@ -349,6 +347,9 @@ def main(argv=None) -> int:
         args, unread = parser.parse_known_args(argv)
         if unread:  # reported with the usage of the command invoked
             args.leaf.error(f"unrecognized arguments: {' '.join(unread)}")
+        # --seed goes with --pairs, so argparse's exclusive group cannot hold it
+        if getattr(args, "all_pairs", False) and args.seed is not None:
+            args.leaf.error("argument --seed: not allowed with argument --all-pairs")
     except SystemExit as e:  # argparse exits itself on usage errors and --help
         return int(e.code or 0)
     try:

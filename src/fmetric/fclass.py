@@ -63,9 +63,6 @@ class AlteringDistance:
 _GENERATORS = {
     "ln": FGenerator("ln", np.log),
     "neg_inv": FGenerator("neg_inv", lambda t: -1.0 / t),
-    # stays bounded near 0, so it must fail the F2 gate; kept as the
-    # negative control for tests and demos
-    "id": FGenerator("id", lambda t: +t),
 }
 
 _ALTERING = {

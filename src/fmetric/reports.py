@@ -136,12 +136,10 @@ def _column(values, nl: str):
 
 class _FieldReport:
     """Base of the reports whose to_dict writes each dataclass field, in
-    declaration order, through _jsonable; fields named in _omit are left out."""
-
-    _omit = ()
+    declaration order, through _jsonable."""
 
     def to_dict(self) -> dict:
-        return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self) if f.name not in self._omit}
+        return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass
@@ -221,6 +219,3 @@ class SolveReport(_FieldReport):
     fixed_point: Any = None
     residual: float | None = None
     cycle: list | None = None
-    trace: Any = None                # IterationTrace, omitted from to_dict
-
-    _omit = ("trace",)

@@ -82,8 +82,8 @@ def picard(space, T: Callable, x0, tol: float, max_iter: int) -> SolveReport:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    trace = orbit(space, T, x0, 0)
-    pts, steps = trace.points, trace.step_dist
+    start = orbit(space, T, x0, 0)  # checks x0 lies in the carrier
+    pts, steps = start.points, start.step_dist
     for it in range(max_iter):
         nxt = apply_map(space, T, pts[-1])
         steps.append(space.d(pts[-1], nxt))
@@ -96,7 +96,6 @@ def picard(space, T: Callable, x0, tol: float, max_iter: int) -> SolveReport:
                     iterations=it + 1,
                     fixed_point=nxt,
                     residual=residual,
-                    trace=trace,
                 )
             continue  # step fired but the residual disagrees; keep iterating
         n = len(pts) - 1
@@ -106,9 +105,8 @@ def picard(space, T: Callable, x0, tol: float, max_iter: int) -> SolveReport:
                     status=STATUS_CYCLE,
                     iterations=it + 1,
                     cycle=pts[k:n],
-                    trace=trace,
                 )
-    return SolveReport(status=STATUS_BUDGET, iterations=max_iter, trace=trace)
+    return SolveReport(status=STATUS_BUDGET, iterations=max_iter)
 
 
 def accumulation_points(trace: IterationTrace, space, eps: float, min_hits: int) -> list:

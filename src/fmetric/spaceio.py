@@ -43,6 +43,15 @@ def _parse_cell(text: str, where: str) -> float:
         raise SpaceFormatError(f"{where}: {text!r} is not a number") from None
 
 
+def _to_float(v, what: str) -> float:
+    """float(v) of an int or float; an int beyond the float range is an
+    input error whose message begins with what."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise SpaceFormatError(f"{what} is an integer too large for a float") from None
+
+
 def _parse_label(text: str):
     text = text.strip()
     try:
@@ -89,13 +98,7 @@ def _raise_first_bad_entry(rows, n_labels: int) -> None:
         for j, v in enumerate(row):
             if type(v) not in _NUMBER_TYPES:
                 raise SpaceFormatError(f"matrix entry ({i}, {j}) is {v!r}, not a number")
-            try:
-                finite = math.isfinite(v)
-            except OverflowError:
-                raise SpaceFormatError(
-                    f"matrix entry ({i}, {j}) is an integer too large for a float"
-                ) from None
-            if not finite:
+            if not math.isfinite(_to_float(v, f"matrix entry ({i}, {j})")):
                 raise SpaceFormatError(f"matrix entry ({i}, {j}) is {v}; entries must be finite")
 
 
@@ -132,15 +135,8 @@ def _build_map(entry, space: FiniteSpace) -> Callable:
             or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeffs)
         ):
             raise SpaceFormatError('map "affine" takes two numeric coefficients [a, b]')
-        ab = []
-        for name, c in zip("ab", coeffs):
-            try:
-                ab.append(float(c))
-            except OverflowError:
-                raise SpaceFormatError(
-                    f'map "affine" coefficient {name} is an integer too large for a float'
-                ) from None
-        return _affine_map(*ab, space)
+        a, b = (_to_float(c, f'map "affine" coefficient {name}') for name, c in zip("ab", coeffs))
+        return _affine_map(a, b, space)
     raise SpaceFormatError(
         f'map must be an example id or {{"affine": [a, b]}}, got {entry!r}'
     )
@@ -175,10 +171,10 @@ def _load_json(text: str):
             raise SpaceFormatError('witness must be {"f": name, "alpha": number}')
         if not isinstance(w["alpha"], (int, float)) or isinstance(w["alpha"], bool):
             raise SpaceFormatError("witness alpha must be a number")
+        f = lookup_function(w["f"], "generator")
+        alpha = _to_float(w["alpha"], "witness alpha")
         try:
-            witness = Witness(lookup_function(w["f"], "generator"), float(w["alpha"]))
-        except OverflowError:
-            raise SpaceFormatError("witness alpha is an integer too large for a float") from None
+            witness = Witness(f, alpha)
         except ValueError as e:
             raise SpaceFormatError(f"witness {e}") from None
 

@@ -594,11 +594,23 @@ def test_verify_witness_alpha_too_large_for_a_float_exit_2(capsys, tmp_path, ext
 
 
 def test_unknown_function_name_prints_without_quotes(capsys, tmp_path):
-    message = "no generator named 'foo'; registered: ['id', 'ln', 'neg_inv']"
-    assert run(capsys, "min-alpha", "--example", "rect-b", "--f", "foo") == (2, "", f"error: {message}\n")
-    p = tmp_path / "w.json"
-    p.write_text('{"points": ["a", "b"], "matrix": [[0, 1], [1, 0]], "witness": {"f": "foo", "alpha": 1}}')
-    assert run(capsys, "verify", "--input", str(p)) == (2, "", f"error: {p}: {message}\n")
+    # id fails (F2), so it is no generator either
+    for name in ("foo", "id"):
+        message = f"no generator named '{name}'; registered: ['ln', 'neg_inv']"
+        assert run(capsys, "min-alpha", "--example", "rect-b", "--f", name) == (2, "", f"error: {message}\n")
+        p = tmp_path / "w.json"
+        p.write_text('{"points": ["a", "b"], "matrix": [[0, 1], [1, 0]], "witness": {"f": "%s", "alpha": 1}}' % name)
+        assert run(capsys, "verify", "--input", str(p)) == (2, "", f"error: {p}: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--example", "rect-b", "--f", "id", "--alpha", "20"],
+    ["profile-alpha", "--f", "id", "--from", "2", "--to", "3"],
+], ids=["verify", "profile-alpha"])
+def test_id_is_no_generator(capsys, argv):
+    # id fails (F2), yet verify printed "D3 ... pass" with it
+    message = "error: no generator named 'id'; registered: ['ln', 'neg_inv']\n"
+    assert run(capsys, *argv) == (2, "", message)
 
 
 _CHECK_FLAGS = {
@@ -626,6 +638,15 @@ def test_check_rejects_a_flag_its_condition_does_not_read(capsys, condition, ext
     code, out, err = run(capsys, "check", condition, "--example", "sequence-space", "--N", "30", *start, *extra)
     assert (code, out) == (2, "")
     assert "Traceback" not in err and "error: " in err
+
+
+def test_seed_with_all_pairs_is_a_usage_error_before_the_input_loads(capsys, tmp_path):
+    # it was reported only after the input loaded, so a missing file printed "cannot read ..."
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, "check", "kannan", "--input", missing, "--all-pairs", "--seed", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: fmetric check kannan ")
+    assert err.endswith("fmetric check kannan: error: argument --seed: not allowed with argument --all-pairs\n")
 
 
 @pytest.mark.parametrize("condition", list(_CHECK_FLAGS))

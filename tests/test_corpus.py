@@ -33,8 +33,8 @@ def test_build_example_unknown():
 
 
 def test_build_example_forwards_params():
-    assert build_example("rect-b", n=3).expected["n"] == 3
-    assert build_example("sequence-space", N=50).expected["truncation"] == 50
+    assert build_example("rect-b", n=3).space.d(1, "g1") == 3.0 / 9.0
+    assert build_example("sequence-space", N=50).space.points() == tuple(range(1, 51))
     assert len(build_example("oscillating-orbit", depth=4).space.labels) == 10
 
 
@@ -64,7 +64,7 @@ def test_rect_b_family_shape():
 
 def test_interval_halving_bundle():
     ex = interval_halving()
-    assert ex.map(ex.expected["fixed_point"]) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert ex.map(2.0 / 3.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert ex.phi.name == "square"
     assert ex.witness.f.name == "ln" and ex.witness.alpha == 0.0
     assert ex.space.contains(1.0) and not ex.space.contains(1.5)
@@ -83,7 +83,7 @@ def test_oscillating_orbit_wraps_at_depth():
 
 def test_oscillating_orbit_prefix_values():
     ex = oscillating_orbit_space(depth=3)
-    p = ex.expected["orbit_prefix"]
+    p = orbit(ex.space, ex.map, ex.space.labels[2], 2).points
     assert p[0] == 2.0 + 1.0 / 3.0
     assert p[1] == -2.0 - 1.0 / 4.0
     assert p[2] == 2.0 + 1.0 / 6.0
@@ -134,9 +134,14 @@ def test_random_fspace_witness_certifies():
             assert not verify_D3(space, Witness(LN, w.alpha - 1e-6)).passed
 
 
+def test_random_fspace_needs_two_points():
+    with pytest.raises(ValueError, match="size must be >= 2"):
+        random_fspace(0, 1, LN)
+
+
 def test_rect_b_expected_alpha_documents_closed_form():
+    # ln(15 n^2 / 6) at n = 10
     ex = build_example("rect-b", n=10)
-    assert abs(ex.expected["alpha"] - math.log(250.0)) < 1e-15
     assert abs(ex.witness.alpha - math.log(250.0)) < 1e-9
 
 

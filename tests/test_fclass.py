@@ -14,11 +14,13 @@ from fmetric import (
     registered_generators,
 )
 
+# bounded near 0, so it fails (F2): the negative control of the gates
+ID_GEN = FGenerator("id", lambda t: +t)
+
 
 def test_lookup_registered_names():
     assert lookup_function("ln", "generator").name == "ln"
     assert lookup_function("neg_inv", "generator").name == "neg_inv"
-    assert lookup_function("id", "generator").name == "id"
     assert lookup_function("id", "altering").name == "id"
     assert lookup_function("square", "altering").name == "square"
     assert lookup_function("sqrt", "altering").name == "sqrt"
@@ -31,6 +33,9 @@ def test_lookup_unknown_lists_registered():
     assert "cube" in msg and "square" in msg and "sqrt" in msg
     with pytest.raises(UnknownFunctionError):
         lookup_function("exp", "generator")
+    # id fails (F2), so it is no registered generator
+    with pytest.raises(UnknownFunctionError, match=r"registered: \['ln', 'neg_inv'\]"):
+        lookup_function("id", "generator")
 
 
 def test_unknown_function_error_reads_as_its_message():
@@ -46,7 +51,7 @@ def test_lookup_bad_kind():
 
 
 def test_registries_expose_all():
-    assert {g.name for g in registered_generators()} == {"ln", "neg_inv", "id"}
+    assert {g.name for g in registered_generators()} == {"ln", "neg_inv"}
     assert {a.name for a in registered_altering()} == {"id", "square", "sqrt"}
 
 
@@ -87,10 +92,18 @@ def test_generators_monotone_on_seeded_pairs():
 
 
 def test_F1_accepts_registered_generators():
-    for name in ("ln", "neg_inv", "id"):
-        rep = check_F1(lookup_function(name, "generator"))
+    for f in registered_generators():
+        rep = check_F1(f)
         assert rep.passed, rep.note
         assert rep.checked > 0
+
+
+def test_registered_functions_pass_their_gates():
+    # so an inadmissible generator or altering distance cannot be registered
+    for f in registered_generators():
+        assert check_F1(f).passed and check_F2(f).passed, f.name
+    for phi in registered_altering():
+        assert check_altering(phi).passed, phi.name
 
 
 def test_F1_accepts_flat_steps():
@@ -109,7 +122,8 @@ def test_F1_rejects_decreasing():
 def test_F2_accepts_ln_and_neg_inv_rejects_id():
     assert check_F2(lookup_function("ln", "generator")).passed
     assert check_F2(lookup_function("neg_inv", "generator")).passed
-    rep = check_F2(lookup_function("id", "generator"))
+    assert check_F1(ID_GEN).passed
+    rep = check_F2(ID_GEN)
     assert not rep.passed
     assert rep.failures == [{"level": 1, "reason": f"no t >= {2.0 ** -200:g} with f(t) <= -1"}]
 

@@ -78,6 +78,11 @@ def test_finite_space_validation():
         sp.dist[0, 1] = 5.0  # stored matrix is read-only
 
 
+def test_finite_space_rejects_a_non_square_matrix():
+    with pytest.raises(SpaceAxiomError, match=r"must be square, got shape \(2, 3\)"):
+        FiniteSpace(labels=("a", "b"), dist=np.zeros((2, 3)))
+
+
 def test_identity_symmetry_reports():
     m = np.array([
         [0.0, 1.0, 2.0],
@@ -238,6 +243,13 @@ def test_hausdorff_witness_random_spaces():
 def test_hausdorff_witness_needs_distinct_points():
     with pytest.raises(DomainError):
         hausdorff_witness(three_point_space(), 1, 1)
+
+
+def test_hausdorff_witness_needs_a_positive_distance():
+    # distinct labels at distance 0 break the identity axiom
+    sp = FiniteSpace(labels=("a", "b"), dist=np.zeros((2, 2)))
+    with pytest.raises(SpaceAxiomError, match=r"d\('a', 'b'\) = 0.0, identity axiom broken"):
+        hausdorff_witness(sp, "a", "b")
 
 
 def test_ball_base_ends_in_singleton():

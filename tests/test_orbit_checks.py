@@ -223,6 +223,12 @@ def test_orbital_kannan_maps_only_to_walk_the_orbit():
     assert calls == orbit(ex.space, ex.map, 2.0 + 1.0 / 3.0, count + 1).points[:-1]
 
 
+def test_orbital_kannan_needs_a_positive_count():
+    ex = oscillating_orbit_space(depth=3)
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        orbital_kannan_check(ex.space, ex.map, ID, 2.0, 0)
+
+
 def _negative_path():
     """Points 0..5 at distance |i - j|, with d(0, 3) = -1 and d(1, 2) = -3;
     the map is x -> x + 1, so the orbit of 0 is 0, 1, 2, ..."""

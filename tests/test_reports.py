@@ -211,8 +211,6 @@ def _hand_written_dict(report) -> dict:
 
 
 def test_field_wise_to_dict_equals_the_hand_written_dicts():
-    from fmetric import IterationTrace
-
     inf, nan = float("inf"), float("nan")
     reports = [
         PropertyReport("F2(bumpy)", False, 30,
@@ -223,9 +221,8 @@ def test_field_wise_to_dict_equals_the_hand_written_dicts():
                          {"i": 0, "j": np.int64(3), "eps": 0.1, "lhs": nan, "rhs": 0.1}],
                         -inf, "random(seed=1, count=5)"),
         ConditionReport("edelstein(square)", True, 0),
-        SolveReport("cycle_detected", 7, np.float64(0.25), nan, [(1, np.float64(2.0)), inf],
-                    IterationTrace([0.0, 0.5], [0.5])),
-        SolveReport("budget_exhausted", 3, trace=IterationTrace([1], [])),
+        SolveReport("cycle_detected", 7, np.float64(0.25), nan, [(1, np.float64(2.0)), inf]),
+        SolveReport("budget_exhausted", 3),
     ]
     for r in reports:
         got, want = r.to_dict(), _hand_written_dict(r)

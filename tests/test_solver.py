@@ -39,6 +39,18 @@ def test_orbit_rejects_bad_start_and_escape():
     assert "step 1" in str(e.value)
 
 
+def test_orbit_needs_a_nonnegative_count():
+    ex = interval_halving()
+    with pytest.raises(ValueError, match="need n >= 0"):
+        orbit(ex.space, ex.map, 0.0, -1)
+
+
+def test_cauchy_tail_check_needs_a_window():
+    ex = interval_halving()
+    with pytest.raises(ValueError, match="at least one window"):
+        cauchy_tail_check(orbit(ex.space, ex.map, 0.0, 3), ex.space, windows=0)
+
+
 def test_apply_map_wraps_exceptions():
     ex = oscillating_orbit_space(depth=3)
     with pytest.raises(DomainError):
@@ -97,6 +109,11 @@ def test_picard_keeps_iterating_when_the_residual_disagrees():
     assert rep.fixed_point == 5.0
 
 
+# status -> (iterations, calls of the map); on convergence, one more call
+# is the residual re-check
+_PICARD_CALLS = {STATUS_CONVERGED: (21, 22), STATUS_CYCLE: (2, 2), STATUS_BUDGET: (5, 5)}
+
+
 @pytest.mark.parametrize("make, x0, max_iter, status", [
     (interval_halving, 0.0, 200, STATUS_CONVERGED),
     (lambda: oscillating_orbit_space(depth=5), 2.0, 50, STATUS_CYCLE),
@@ -104,10 +121,15 @@ def test_picard_keeps_iterating_when_the_residual_disagrees():
 ])
 def test_picard_iterations_count_map_applications(make, x0, max_iter, status):
     ex = make()
-    rep = picard(ex.space, ex.map, x0, tol=1e-6, max_iter=max_iter)
+    seen = []
+
+    def counted(x):
+        seen.append(x)
+        return ex.map(x)
+
+    rep = picard(ex.space, counted, x0, tol=1e-6, max_iter=max_iter)
     assert rep.status == status
-    # the trace holds x0 and one point per application of the map
-    assert rep.iterations == len(rep.trace) - 1
+    assert (rep.iterations, len(seen)) == _PICARD_CALLS[status]
 
 
 def test_picard_parameter_validation():

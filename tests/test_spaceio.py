@@ -276,7 +276,7 @@ def test_csv_matrix_bits_match_entrywise_conversion(tmp_path):
 
 @pytest.mark.parametrize("doc, error, message", [
     ({"witness": {"f": ["ln"], "alpha": 1}}, UnknownFunctionError,
-     "no generator named ['ln']; registered: ['id', 'ln', 'neg_inv']"),
+     "no generator named ['ln']; registered: ['ln', 'neg_inv']"),
     ({"map": "nope"}, DomainError,
      "unknown example 'nope'; known: interval-halving, oscillating-orbit, sequence-space, rect-b"),
     ({"points": ["a", "a"]}, SpaceAxiomError, "duplicate point labels"),
