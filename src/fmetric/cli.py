@@ -2,14 +2,16 @@
 
 Subcommands: verify, min-alpha, solve, check, reproduce, profile-alpha.
 Exit codes: 0 all checks pass, 1 a mathematical violation was found
-(or an iteration failed to converge), 2 usage or input error. Text mode
-prints numbers with 10 significant digits; structured mode emits one
-JSON document per run with top-level "command" and "passed" fields.
+(or an iteration failed to converge), 2 usage or input error, 141 the
+reader closed stdout. Text mode prints numbers with 10 significant
+digits; structured mode emits one JSON document per run with top-level
+"command" and "passed" fields.
 Same inputs and seed give byte-identical output.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -356,6 +358,11 @@ def main(argv=None) -> int:
         passed, body = args.fn(args)
         if args.output == "structured":
             _emit_json({"command": args.command, "passed": passed, **body})
+        sys.stdout.flush()  # a closed pipe raises here, not in the exit flush
+    except BrokenPipeError:  # the reader closed stdout, say `| head`
+        # what is still buffered goes to devnull, so the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, what a shell reports for a writer the pipe killed
     except (FmetricError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -42,25 +42,11 @@ def rect_b_family(n: int) -> FiniteSpace:
     """
     if n < 2:
         raise ValueError("family parameter must be >= 2")
-    specials = [1, 20, 25, 30]
-    generics = [f"g{k}" for k in range(1, 9)]
-    labels = specials + generics
-    cheap = 3.0 / (n * n)
-    size = len(labels)
-    m = np.full((size, size), cheap)
+    labels = (1, 20, 25, 30) + tuple(f"g{k}" for k in range(1, 9))
+    m = np.full((12, 12), 3.0 / (n * n))
     np.fill_diagonal(m, 0.0)
-    fixed = {
-        (1, 20): 15.0,
-        (1, 25): 1.0,
-        (20, 25): 1.0,
-        (1, 30): 2.0,
-        (20, 30): 2.0,
-        (25, 30): 2.0,
-    }
-    for (a, b), v in fixed.items():
-        i, j = labels.index(a), labels.index(b)
-        m[i, j] = m[j, i] = v
-    return FiniteSpace(labels=tuple(labels), dist=m)
+    m[:4, :4] = [[0, 15, 1, 2], [15, 0, 1, 2], [1, 1, 0, 2], [2, 2, 2, 0]]
+    return FiniteSpace(labels=labels, dist=m)
 
 
 def interval_halving() -> NamedExample:
@@ -99,10 +85,7 @@ def oscillating_orbit_space(depth: int = 250) -> NamedExample:
     vals = np.array(labels)
     m = np.abs(vals[:, None] - vals[None, :])
     space = FiniteSpace(labels=tuple(labels), dist=m)
-    step = {2.0: -2.0, -2.0: 2.0}
-    for k in range(depth):
-        step[pos[k]] = neg[k]
-        step[neg[k]] = pos[k + 1] if k + 1 < depth else 2.0
+    step = dict(zip(labels, [-2.0, 2.0] + neg + pos[1:] + [2.0]))
 
     def T(x):
         try:

@@ -120,14 +120,14 @@ def check_F2(f: FGenerator) -> PropertyReport:
     """
     grid = 2.0 ** -np.arange(0, 201)
     vals = f.eval(grid)
-    failures = []
-    thresholds = []
-    for M in range(1, _F2_DEPTH + 1):
-        hit = np.flatnonzero(vals <= -M)
-        if hit.size == 0:
-            failures.append({"level": M, "reason": f"no t >= {_SMALLEST:g} with f(t) <= {-M}"})
-            break
-        thresholds.append(grid[hit[0]])
+    levels = np.arange(1, _F2_DEPTH + 1)
+    hits = vals <= -levels[:, None]
+    reached = hits.any(axis=1)  # a prefix of the levels: f <= -M implies f <= -(M - 1)
+    thresholds = grid[hits.argmax(axis=1)[reached]]
+    failures = [
+        {"level": int(M), "reason": f"no t >= {_SMALLEST:g} with f(t) <= {-M}"}
+        for M in levels[~reached][:1]
+    ]
     return PropertyReport(
         name=f"F2({f.name})",
         passed=not failures,

@@ -13,6 +13,7 @@ the axiom, and its maximum over pairs is the smallest admissible alpha.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import compress
@@ -92,11 +93,13 @@ class FiniteSpace:
     def nearest_label(self, value: float) -> tuple:
         """The numeric label nearest value, and whether it lies within 1e-9
         of it, since decimal input cannot always spell a stored float
-        exactly; (None, False) when no label is numeric."""
-        # min would keep a leading nan, and lab == lab is false only for nan
-        best = min((lab for lab in self.labels if isinstance(lab, (int, float)) and lab == lab),
+        exactly; (None, False) when no label is numeric. A label counts as
+        numeric only within the float range, so nan, infinite and huge
+        integer labels never match."""
+        best = min((lab for lab in self.labels
+                    if isinstance(lab, (int, float)) and -sys.float_info.max <= lab <= sys.float_info.max),
                    key=lambda lab: abs(lab - value), default=None)
-        return best, best is not None and not abs(best - value) > 1e-9
+        return best, best is not None and abs(best - value) <= 1e-9
 
 
 @dataclass(frozen=True, eq=False)

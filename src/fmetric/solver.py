@@ -73,22 +73,21 @@ def picard(space, T: Callable, x0, tol: float, max_iter: int) -> SolveReport:
     Stops with status converged at the first step distance <= tol whose
     successor also satisfies d(x, Tx) <= 2 tol (the residual re-check);
     with cycle_detected when the newest iterate returns within tol of a
-    recent one across steps that all exceed tol; with budget_exhausted
-    after max_iter applications. iterations counts the applications of T
-    made by the iteration on every status (the residual re-check is not
-    one of them).
+    recent one across steps none of which is <= tol (so a nan step, which
+    only a closed-form rule can give, neither converges nor blocks a
+    cycle); with budget_exhausted after max_iter applications. iterations counts the applications of T made by the
+    iteration on every status (the residual re-check is not one of them).
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    start = orbit(space, T, x0, 0)  # checks x0 lies in the carrier
-    pts, steps = start.points, start.step_dist
+    pts = orbit(space, T, x0, 0).points  # checks x0 lies in the carrier
+    calm = 0  # the iterate just after the latest step <= tol
     for it in range(max_iter):
         nxt = apply_map(space, T, pts[-1])
-        steps.append(space.d(pts[-1], nxt))
-        pts.append(nxt)
-        if steps[-1] <= tol:
+        if space.d(pts[-1], nxt) <= tol:
+            calm = it + 1
             residual = space.d(nxt, apply_map(space, T, nxt))
             if residual <= 2.0 * tol:
                 return SolveReport(
@@ -97,15 +96,10 @@ def picard(space, T: Callable, x0, tol: float, max_iter: int) -> SolveReport:
                     fixed_point=nxt,
                     residual=residual,
                 )
-            continue  # step fired but the residual disagrees; keep iterating
-        n = len(pts) - 1
-        for k in range(n - 2, max(-1, n - 1 - _CYCLE_WINDOW), -1):
-            if space.d(pts[k], pts[n]) <= tol and min(steps[k:n]) > tol:
-                return SolveReport(
-                    status=STATUS_CYCLE,
-                    iterations=it + 1,
-                    cycle=pts[k:n],
-                )
+        for k in range(it - 1, max(calm, it + 1 - _CYCLE_WINDOW) - 1, -1):
+            if space.d(pts[k], nxt) <= tol:
+                return SolveReport(status=STATUS_CYCLE, iterations=it + 1, cycle=pts[k:])
+        pts.append(nxt)
     return SolveReport(status=STATUS_BUDGET, iterations=max_iter)
 
 

@@ -201,7 +201,8 @@ def _load_csv(text: str):
 def load_space_file(path) -> tuple[FiniteSpace, Optional[Witness], Optional[Callable]]:
     """Read a space file, returning (space, witness or None, map or None).
 
-    The format is sniffed: content starting with '{' is JSON, anything
+    The file is read as UTF-8, a leading byte-order mark skipped. The
+    format is sniffed: content starting with '{' is JSON, anything
     else is CSV. Structural problems raise SpaceFormatError naming the
     offending row or key; every error raised while parsing keeps its
     class and leads its message with the path. Metric axiom violations
@@ -210,8 +211,8 @@ def load_space_file(path) -> tuple[FiniteSpace, Optional[Witness], Optional[Call
     """
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as e:
+        text = p.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as e:
         raise SpaceFormatError(f"cannot read {path}: {e}") from None
     if not text.strip():
         raise SpaceFormatError(f"{path} is empty")

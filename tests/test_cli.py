@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fmetric
 from fmetric.cli import main
 
 
@@ -731,3 +736,63 @@ def test_fractional_x0_on_sequence_space(capsys):
 def test_solve_needs_a_map(capsys):
     assert run(capsys, "solve", "--example", "rect-b", "--x0", "0") == (
         2, "", "error: rect-b carries no map; solve needs one\n")
+
+
+def _huge_label_file(tmp_path, map_entry) -> str:
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({
+        "points": [10 ** 400, 1, 3],
+        "matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+        "map": map_entry,
+    }))
+    return str(p)
+
+
+def test_solve_on_a_label_past_the_float_range_is_an_input_error(capsys, tmp_path):
+    # 1 -> 3 -> 9 leaves the carrier; the 401-digit label matches no number
+    code, _, err = run(capsys, "solve", "--input", _huge_label_file(tmp_path, "sequence-space"), "--x0", "1")
+    assert code == 2
+    assert err == "error: map sends 3 to 9, outside the carrier\n"
+
+
+def test_affine_map_loads_beside_a_label_past_the_float_range(capsys, tmp_path):
+    p = _huge_label_file(tmp_path, {"affine": [1, 0]})
+    code, out, _ = run(capsys, "verify", "--input", p, "--alpha", "0")
+    assert code == 0
+    assert "D3 chain inequality (f=ln, alpha=0): pass" in out
+
+
+def test_affine_nan_image_is_an_input_error(capsys, tmp_path):
+    p = tmp_path / "nan-image.json"
+    p.write_text('{"points": [0, Infinity, 5], "matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], '
+                 '"map": {"affine": [0, 5]}}')
+    code, out, err = run(capsys, "check", "kannan", "--input", str(p), "--all-pairs")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: affine image nan of inf is not in the carrier")
+    assert err.count("\n") == 1
+
+
+def test_verify_reads_a_json_file_behind_a_byte_order_mark(capsys, tmp_path):
+    p = tmp_path / "bom.json"
+    p.write_bytes(b'\xef\xbb\xbf{"points": [0, 1], "matrix": [[0, 1], [1, 0]]}')
+    code, out, _ = run(capsys, "verify", "--input", str(p), "--alpha", "0")
+    assert code == 0
+    assert "D3 chain inequality (f=ln, alpha=0): pass" in out
+
+
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr():
+    # 173 KB of output outgrows the 64 KiB pipe buffer, so the write after
+    # the reader has gone raises BrokenPipeError
+    src = str(Path(fmetric.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fmetric.cli", "verify", "--example", "oscillating-orbit",
+         "--depth", "30", "--alpha", "0", "--output", "structured"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

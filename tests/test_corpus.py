@@ -62,6 +62,37 @@ def test_rect_b_family_shape():
         rect_b_family(1)
 
 
+# the six distances among the special points; every other off-diagonal
+# entry is 3/n^2
+_RECT_B_SPECIAL = {(1, 20): 15.0, (1, 25): 1.0, (20, 25): 1.0, (1, 30): 2.0, (20, 30): 2.0, (25, 30): 2.0}
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 50])
+def test_rect_b_family_matches_its_named_distances(n):
+    labels = (1, 20, 25, 30) + tuple(f"g{k}" for k in range(1, 9))
+    want = np.array([
+        [0.0 if a == b else _RECT_B_SPECIAL.get((a, b), _RECT_B_SPECIAL.get((b, a), 3.0 / (n * n)))
+         for b in labels]
+        for a in labels
+    ])
+    sp = rect_b_family(n)
+    assert sp.labels == labels
+    assert sp.dist.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 250])
+def test_oscillating_orbit_map_follows_the_closed_form(depth):
+    # 2 <-> -2, 2 + 1/(3n) -> -2 - 1/(3n+1) -> 2 + 1/(3n+3), the deepest
+    # negative tail point wrapping to 2
+    ex = oscillating_orbit_space(depth=depth)
+    want = {2.0: -2.0, -2.0: 2.0}
+    for n in range(1, depth + 1):
+        want[2.0 + 1.0 / (3 * n)] = -2.0 - 1.0 / (3 * n + 1)
+        want[-2.0 - 1.0 / (3 * n + 1)] = 2.0 + 1.0 / (3 * n + 3) if n < depth else 2.0
+    assert sorted(ex.space.labels) == sorted(want)
+    assert {x: ex.map(x) for x in ex.space.labels} == want
+
+
 def test_interval_halving_bundle():
     ex = interval_halving()
     assert ex.map(2.0 / 3.0) == pytest.approx(2.0 / 3.0, abs=1e-15)

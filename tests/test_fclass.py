@@ -137,6 +137,36 @@ def test_F2_rejects_divergence_without_smallness():
     assert rep.failures == [{"level": 1, "reason": f"no t >= {2.0 ** -200:g} with f(t) <= -1"}]
 
 
+def _per_level_F2(f):
+    """(thresholds, failures) of the sampled F2 gate, one level at a time."""
+    grid = 2.0 ** -np.arange(0, 201)
+    vals = f.eval(grid)
+    thresholds, failures = [], []
+    for M in range(1, 31):
+        hit = np.flatnonzero(vals <= -M)
+        if hit.size == 0:
+            failures.append({"level": M, "reason": f"no t >= {2.0 ** -200:g} with f(t) <= {-M}"})
+            break
+        thresholds.append(grid[hit[0]])
+    return thresholds, failures
+
+
+@pytest.mark.parametrize("f", [
+    ID_GEN,  # fails at level 1
+    FGenerator("ln_100", lambda t: 0.01 * np.log(t)),  # reaches -1.386 at 2^-200: fails at level 2
+    FGenerator("ln", np.log),  # never fails
+    FGenerator("nan", lambda t: np.full_like(t, np.nan)),
+], ids=lambda f: f.name)
+def test_F2_matches_the_per_level_search(f):
+    thresholds, failures = _per_level_F2(f)
+    rep = check_F2(f)
+    assert rep.failures == failures
+    assert all(type(x["level"]) is int for x in rep.failures)
+    assert rep.passed == (not failures)
+    shown = ", ".join(f"{t:.3g}" for t in thresholds[:4]) + ("..." if len(thresholds) > 4 else "")
+    assert rep.note == "thresholds " + shown
+
+
 def test_check_altering_accepts_registered():
     for name in ("id", "square", "sqrt"):
         rep = check_altering(lookup_function(name, "altering"))

@@ -179,6 +179,22 @@ def test_nearest_label_skips_nan_labels():
     assert only_nan.nearest_label(0.0) == (None, False)
 
 
+def test_nearest_label_skips_labels_past_the_float_range():
+    m = np.ones((4, 4)) - np.eye(4)
+    space = FiniteSpace(labels=(10 ** 400, -math.inf, 1, 2.5), dist=m)
+    assert space.nearest_label(1.0) == (1, True)
+    assert space.nearest_label(-math.inf) == (1, False)
+    only_huge = FiniteSpace(labels=(10 ** 400, math.inf), dist=m[:2, :2])
+    assert only_huge.nearest_label(0.0) == (None, False)
+
+
+@pytest.mark.parametrize("labels", [(math.inf, 0), (0, math.inf)])
+def test_nearest_label_never_matches_an_infinite_value(labels):
+    space = FiniteSpace(labels=labels, dist=np.array([[0, 1], [1, 0.0]]))
+    assert space.nearest_label(math.inf) == (0, False)
+    assert space.nearest_label(math.nan) == (0, False)
+
+
 def test_witness_rejects_negative_alpha():
     with pytest.raises(ValueError):
         Witness(LN, -0.1)

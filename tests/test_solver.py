@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from fmetric import (
+    AnalyticSpace,
     STATUS_BUDGET,
     STATUS_CONVERGED,
     STATUS_CYCLE,
@@ -107,6 +110,81 @@ def test_picard_keeps_iterating_when_the_residual_disagrees():
     assert rep.status == STATUS_CONVERGED
     assert rep.iterations == 3
     assert rep.fixed_point == 5.0
+
+
+def _picard_with_step_list(space, T, x0, tol, max_iter):
+    """Picard iteration that keeps every step and asks min(steps[k:n]) > tol
+    of each cycle candidate k: the rule picard keeps in one index."""
+    pts, steps = [x0], []
+    for it in range(max_iter):
+        nxt = T(pts[-1])
+        steps.append(space.d(pts[-1], nxt))
+        pts.append(nxt)
+        if steps[-1] <= tol:
+            residual = space.d(nxt, T(nxt))
+            if residual <= 2.0 * tol:
+                return {"status": STATUS_CONVERGED, "iterations": it + 1, "fixed_point": nxt,
+                        "residual": residual, "cycle": None}
+            continue
+        n = len(pts) - 1
+        for k in range(n - 2, max(-1, n - 65), -1):
+            if space.d(pts[k], pts[n]) <= tol and min(steps[k:n]) > tol:
+                return {"status": STATUS_CYCLE, "iterations": it + 1, "fixed_point": None,
+                        "residual": None, "cycle": pts[k:n]}
+    return {"status": STATUS_BUDGET, "iterations": max_iter, "fixed_point": None,
+            "residual": None, "cycle": None}
+
+
+def test_picard_matches_the_step_list_rule_on_random_spaces():
+    rng = np.random.default_rng(17)
+    seen = set()
+    for trial in range(240):
+        n = int(rng.integers(2, 120))
+        # clustered points give steps within tol, some of whose residuals fail
+        scale = rng.choice([1.0, 1e-8, 1e-12], n)
+        pos = rng.uniform(0, 10, n) * (rng.random(n) < 0.5) + rng.uniform(0, 1, n) * scale
+        if trial % 4 == 3:  # spread points: long permutation cycles exhaust the budget
+            pos = np.arange(n, dtype=float)
+        sp = FiniteSpace(labels=tuple(range(n)), dist=np.abs(np.subtract.outer(pos, pos)))
+        img = rng.permutation(n) if trial % 2 else rng.integers(0, n, n)
+        T = [int(i) for i in img].__getitem__
+        tol = float(rng.choice([1e-9, 1e-3, 0.1, 0.5]))
+        x0, max_iter = int(rng.integers(0, n)), int(rng.integers(1, 300))
+        want = _picard_with_step_list(sp, T, x0, tol, max_iter)
+        assert picard(sp, T, x0, tol, max_iter).to_dict() == want
+        seen.add(want["status"])
+        x = x0
+        for _ in range(want["iterations"]):
+            y = T(x)
+            if sp.d(x, y) <= tol < sp.d(y, T(y)) / 2.0:
+                seen.add("residual failed")
+            x = y
+    assert seen == {STATUS_CONVERGED, STATUS_CYCLE, STATUS_BUDGET, "residual failed"}
+
+
+@pytest.mark.parametrize("length, status", [(64, STATUS_CYCLE), (65, STATUS_BUDGET)])
+def test_picard_searches_64_iterates_back_for_a_revisit(length, status):
+    pos = np.arange(length, dtype=float)
+    sp = FiniteSpace(labels=tuple(range(length)), dist=np.abs(np.subtract.outer(pos, pos)))
+    T = lambda i: (i + 1) % length
+    rep = picard(sp, T, 0, tol=1e-9, max_iter=200)
+    assert rep.status == status
+    assert rep.to_dict() == _picard_with_step_list(sp, T, 0, 1e-9, 200)
+
+
+def test_picard_nan_step_does_not_block_a_cycle():
+    # the 3-cycle 1 -> 2 -> 0 -> 1 whose rule gives nan for d(1, 2); a nan
+    # step is not <= tol, so it neither converges nor blocks the revisit of 1
+    sp = AnalyticSpace(
+        point_kind="real",
+        dist_rule=lambda x, y: math.nan if {x, y} == {1.0, 2.0} else abs(x - y),
+        membership=lambda x: x in (0.0, 1.0, 2.0),
+        bounds=(0.0, 2.0),
+    )
+    rep = picard(sp, {1.0: 2.0, 2.0: 0.0, 0.0: 1.0}.__getitem__, 1.0, tol=1e-9, max_iter=50)
+    assert rep.status == STATUS_CYCLE
+    assert rep.iterations == 3
+    assert rep.cycle == [1.0, 2.0, 0.0]
 
 
 # status -> (iterations, calls of the map); on convergence, one more call

@@ -92,6 +92,30 @@ def test_missing_file():
     assert str(e.value).startswith("cannot read /nonexistent/path.json: ")
 
 
+def test_a_byte_order_mark_is_skipped(tmp_path):
+    bom = b"\xef\xbb\xbf"
+    j = tmp_path / "bom.json"
+    j.write_bytes(bom + b'{"points": [0, 1], "matrix": [[0, 1], [1, 0]]}')
+    assert load_space_file(j)[0].labels == (0, 1)
+    c = tmp_path / "bom.csv"
+    c.write_bytes(bom + b"0,1\n0,1\n1,0\n")
+    assert load_space_file(c)[0].labels == (0, 1)
+
+
+def test_files_are_read_as_utf_8(tmp_path):
+    p = tmp_path / "u.json"
+    p.write_bytes('{"points": ["\u00e9", "\u00df"], "matrix": [[0, 1], [1, 0]]}'.encode())
+    assert load_space_file(p)[0].labels == ("\u00e9", "\u00df")
+
+
+def test_a_file_that_is_not_utf_8_is_an_input_error_naming_it(tmp_path):
+    p = tmp_path / "latin.csv"
+    p.write_bytes("\u00e9,b\n0,1\n1,0\n".encode("latin-1"))
+    with pytest.raises(SpaceFormatError) as e:
+        load_space_file(p)
+    assert str(e.value).startswith(f"cannot read {p}: 'utf-8' codec can't decode byte 0xe9")
+
+
 def test_csv_bad_cell_names_position(tmp_path):
     text = "a,b\n0,x\n1,0\n"
     with pytest.raises(SpaceFormatError) as e:
@@ -149,6 +173,23 @@ def test_unknown_map_example(tmp_path):
     doc = {"points": [0, 1], "matrix": [[0, 1], [1, 0]], "map": "klein-bottle"}
     with pytest.raises(FmetricError):
         load_space_file(write(tmp_path, "um.json", json.dumps(doc)))
+
+
+def test_affine_map_skips_labels_past_the_float_range(tmp_path):
+    doc = {"points": [10 ** 400, 0, 5], "matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+           "map": {"affine": [1, 5]}}
+    _, _, T = load_space_file(write(tmp_path, "s.json", json.dumps(doc)))
+    assert T(0) == 5
+
+
+def test_affine_nan_image_is_not_in_the_carrier(tmp_path):
+    # 0 * inf + 5 is nan, which lies within 1e-9 of no label
+    p = write(tmp_path, "s.json",
+              '{"points": [0, Infinity, 5], "matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "map": {"affine": [0, 5]}}')
+    _, _, T = load_space_file(p)
+    assert T(0) == 5
+    with pytest.raises(DomainError, match="affine image nan of inf is not in the carrier"):
+        T(float("inf"))
 
 
 def test_map_without_numeric_labels(tmp_path):
