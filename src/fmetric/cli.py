@@ -39,9 +39,9 @@ _SHOWN_VIOLATIONS = 5
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return f"{float(value):.10g}"
     if isinstance(value, (tuple, list)):
         return "(" + ", ".join(_fmt(v) for v in value) + ")"
@@ -104,11 +104,15 @@ def _parse_point(text: str, space):
     return val
 
 
+def _generator(args, witness):
+    """--f, else the input witness's generator, else ln."""
+    if args.f is None and witness is not None:
+        return witness.f
+    return lookup_function(args.f or "ln", "generator")
+
+
 def _resolve_witness(args, file_witness) -> Witness:
-    if args.f is None and file_witness is not None:
-        f = file_witness.f
-    else:
-        f = lookup_function(args.f or "ln", "generator")
+    f = _generator(args, file_witness)
     alpha = args.alpha
     if alpha is None:
         if file_witness is None:
@@ -153,7 +157,7 @@ def cmd_verify(args) -> tuple:
 def cmd_min_alpha(args) -> tuple:
     ex = _load_input(args)
     space = _materialize(ex.space)
-    f = lookup_function(args.f, "generator")
+    f = _generator(args, ex.witness)
     value = min_alpha(space, f)
     if args.output == "structured":
         return True, {"input": ex.id, "f": f.name, "min_alpha": value}
@@ -298,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("min-alpha", parents=[common], help="smallest admissible alpha")
     _add_input_group(p)
-    p.add_argument("--f", default="ln", help=f"generator name ({gen_names})")
+    p.add_argument("--f", help=f"generator name ({gen_names}); default ln or the input witness")
     p.set_defaults(fn=cmd_min_alpha, leaf=p)
 
     p = sub.add_parser("solve", parents=[common], help="run the fixed-point iteration")
@@ -355,7 +359,8 @@ def main(argv=None) -> int:
     except SystemExit as e:  # argparse exits itself on usage errors and --help
         return int(e.code or 0)
     try:
-        passed, body = args.fn(args)
+        with np.errstate(all="ignore"):  # an overflow or nan shows in the output, not as a warning
+            passed, body = args.fn(args)
         if args.output == "structured":
             _emit_json({"command": args.command, "passed": passed, **body})
         sys.stdout.flush()  # a closed pipe raises here, not in the exit flush

@@ -122,19 +122,23 @@ def _map_distinct(space, T, pairs):
     return where, space.as_array(distinct), tu
 
 
-def _pair_sides(space, T, phi, pairs, kannan: bool):
-    """lhs and rhs arrays of the Edelstein or Kannan inequality, one entry per pair.
+def _pairwise_report(name, space, T, phi, sample: PairSample, kannan: bool) -> ConditionReport:
+    """Report of the Edelstein or Kannan inequality, one entry per sample pair.
 
     Every distinct point is mapped before any distance is taken; a
     negative distance then raises phi's DomainError.
     """
-    where, u, tu = _map_distinct(space, T, pairs)
+    where, u, tu = _map_distinct(space, T, sample.pairs)
     wx, wy = where[0::2], where[1::2]
     lhs = phi.eval(space.dists(tu[wx], tu[wy]))
     if kannan:
         phi_disp = phi.eval(space.dists(u, tu))  # phi(d(u, Tu)) once per distinct u
-        return lhs, 0.5 * (phi_disp[wx] + phi_disp[wy])
-    return lhs, phi.eval(space.dists(u[wx], u[wy]))
+        rhs = 0.5 * (phi_disp[wx] + phi_disp[wy])
+    else:
+        rhs = phi.eval(space.dists(u[wx], u[wy]))
+    return _strict_report(
+        f"{name}({phi.name})", lhs, rhs, sample.source, lambda k: {"pair": sample.pairs[k]}
+    )
 
 
 def _strict_report(condition, lhs, rhs, source, tag) -> ConditionReport:
@@ -155,20 +159,14 @@ def edelstein_check(space, T: Callable, phi: AlteringDistance, sample: PairSampl
     """Strict shrinking of phi(d) under the map, pair by pair:
     phi(d(Tx, Ty)) < phi(d(x, y)).
     """
-    lhs, rhs = _pair_sides(space, T, phi, sample.pairs, kannan=False)
-    return _strict_report(
-        f"edelstein({phi.name})", lhs, rhs, sample.source, lambda k: {"pair": sample.pairs[k]}
-    )
+    return _pairwise_report("edelstein", space, T, phi, sample, kannan=False)
 
 
 def kannan_check(space, T: Callable, phi: AlteringDistance, sample: PairSample) -> ConditionReport:
     """Displacement-averaged contraction, pair by pair:
     phi(d(Tx, Ty)) < (phi(d(x, Tx)) + phi(d(y, Ty))) / 2.
     """
-    lhs, rhs = _pair_sides(space, T, phi, sample.pairs, kannan=True)
-    return _strict_report(
-        f"kannan({phi.name})", lhs, rhs, sample.source, lambda k: {"pair": sample.pairs[k]}
-    )
+    return _pairwise_report("kannan", space, T, phi, sample, kannan=True)
 
 
 def orbital_kannan_check(space, T: Callable, phi: AlteringDistance, x0, count: int) -> ConditionReport:

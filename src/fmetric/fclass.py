@@ -148,25 +148,21 @@ def check_altering(phi: AlteringDistance) -> PropertyReport:
     """
     grid = np.linspace(0.0, _ALT_HI, _ALT_N)
     vals = phi.eval(grid)
-    failures = []
     if vals[0] != 0.0:
-        failures.append({"t": 0.0, "reason": f"phi(0) = {float(vals[0])!r}, expected 0"})
-    if not failures:
-        pos_bad = np.nonzero(vals[1:] <= 0.0)[0]
-        if pos_bad.size:
-            i = int(pos_bad[0]) + 1
-            failures.append({"t": grid[i], "reason": f"phi(t) = {float(vals[i])!r} not positive"})
-    if not failures:
-        dec = np.nonzero(np.diff(vals) < 0)[0]
-        if dec.size:
-            i = int(dec[0])
-            failures.append({"t": (grid[i], grid[i + 1]), "reason": "decreasing"})
-    if not failures:
+        failures = [{"t": 0.0, "reason": f"phi(0) = {float(vals[0])!r}, expected 0"}]
+    elif (pos_bad := np.flatnonzero(vals[1:] <= 0.0)).size:
+        i = pos_bad[0] + 1
+        failures = [{"t": grid[i], "reason": f"phi(t) = {float(vals[i])!r} not positive"}]
+    elif (dec := np.flatnonzero(np.diff(vals) < 0)).size:
+        i = dec[0]
+        failures = [{"t": (grid[i], grid[i + 1]), "reason": "decreasing"}]
+    else:
         jump = np.abs(phi.eval(grid + _ALT_H) - vals)
-        rough = np.nonzero(jump > _ALT_TOL)[0]
+        rough = np.flatnonzero(jump > _ALT_TOL)
+        failures = []
         if rough.size:
-            i = int(rough[0])
-            failures.append({"t": grid[i], "reason": f"step {jump[i]:.3g} > {_ALT_TOL}"})
+            i = rough[0]
+            failures = [{"t": grid[i], "reason": f"step {jump[i]:.3g} > {_ALT_TOL}"}]
     return PropertyReport(
         name=f"altering({phi.name})",
         passed=not failures,

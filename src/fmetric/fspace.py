@@ -41,21 +41,21 @@ class FiniteSpace:
     def __post_init__(self):
         labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
-        m = np.asarray(self.dist, dtype=float)
+        m = np.array(self.dist, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise SpaceAxiomError(f"distance matrix must be square, got shape {m.shape}")
         if m.shape[0] != len(labels):
             raise SpaceAxiomError(
                 f"{len(labels)} labels but matrix is {m.shape[0]}x{m.shape[1]}"
             )
-        if len(set(labels)) != len(labels):
+        index = {lab: i for i, lab in enumerate(labels)}
+        if len(index) != len(labels):
             raise SpaceAxiomError("duplicate point labels")
         if not np.all(np.isfinite(m)):
             raise SpaceAxiomError("distance matrix has non-finite entries")
-        m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "dist", m)
-        object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(labels)})
+        object.__setattr__(self, "_index", index)
         # margins at which check_identity_symmetry passed; the matrix is
         # read-only, so a pass holds for the life of the space
         object.__setattr__(self, "_axioms_hold", set())

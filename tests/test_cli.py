@@ -463,8 +463,7 @@ def test_a_size_flag_with_input_exit_2(capsys, tmp_path, flag):
     assert err == f"error: {flag} sizes a bundled example, not an --input file\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")  # numpy's overflow and nan warnings would raise here
 def test_min_alpha_and_verify_agree_on_a_nan_slack(capsys, tmp_path):
     # neg_inv(5e-324) overflows to -inf on both sides of (a, c), a nan
     # slack; (a, b) has slack inf through the chain a-c-b, so no finite
@@ -472,12 +471,55 @@ def test_min_alpha_and_verify_agree_on_a_nan_slack(capsys, tmp_path):
     p = tmp_path / "tiny.json"
     p.write_text(json.dumps({"points": ["a", "b", "c"],
                              "matrix": [[0, 1, 5e-324], [1, 0, 5e-324], [5e-324, 5e-324, 0]]}))
-    assert run(capsys, "min-alpha", "--input", str(p), "--f", "neg_inv")[:2] == (0, "inf\n")
+    assert run(capsys, "min-alpha", "--input", str(p), "--f", "neg_inv") == (0, "inf\n", "")
     verify = ("verify", "--input", str(p), "--f", "neg_inv", "--alpha")
     assert run(capsys, *verify, "inf")[:2] == (2, "")
-    code, out, _ = run(capsys, *verify, "1e308")
-    assert code == 1
+    code, out, err = run(capsys, *verify, "1e308")
+    assert (code, err) == (1, "")
     assert "(a, b): lhs=-1 rhs=-inf" in out
+
+
+def test_min_alpha_takes_its_generator_as_verify_does(capsys, tmp_path):
+    # --f, else the input's witness generator, else ln
+    p = tmp_path / "w.json"
+    p.write_text('{"points": ["a", "b", "c"], "matrix": [[0, 1, 5], [1, 0, 1], [5, 1, 0]],'
+                 ' "witness": {"f": "neg_inv", "alpha": 0.6}}')
+    assert run(capsys, "min-alpha", "--input", str(p))[:2] == (0, "0.3\n")
+    assert run(capsys, "verify", "--input", str(p))[:2] == (
+        0, "D1 identity: pass\nD2 symmetry: pass\nD3 chain inequality (f=neg_inv, alpha=0.6): pass\n")
+    assert run(capsys, "min-alpha", "--input", str(p), "--f", "ln")[:2] == (0, "0.9162907319\n")
+    no_witness = tmp_path / "m.csv"
+    no_witness.write_text("a,b,c\n0,1,5\n1,0,1\n5,1,0\n")
+    assert run(capsys, "min-alpha", "--input", str(no_witness))[:2] == (0, "0.9162907319\n")
+
+
+def _readme_examples():
+    """One param per `$ fmetric` line in README's fenced blocks: the
+    command and the lines shown under it."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"^```\n(.*?)^```$", text, flags=re.M | re.S):
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, *shown = chunk.strip().split("\n")
+            examples.append(pytest.param(command, shown, id=command))
+    return examples
+
+
+@pytest.mark.parametrize("command, shown", _readme_examples())
+def test_readme_examples_print_what_readme_shows(capsys, command, shown):
+    # lines before a "..." line open the output, lines after it close it
+    if command.startswith("fmetric verify --input table.csv"):
+        pytest.skip("table.csv is not in the repository")
+    code, out, _ = run(capsys, *command.split()[1:])
+    assert code in (0, 1)
+    lines = out.splitlines()
+    if "..." in shown:
+        k = shown.index("...")
+        head, tail = shown[:k], shown[k + 1:]
+        assert len(lines) > len(head) + len(tail)
+        assert lines[:k] == head and lines[len(lines) - len(tail):] == tail
+    elif shown:
+        assert lines == shown
 
 
 def test_solve_never_lands_on_a_nan_label(capsys, tmp_path):

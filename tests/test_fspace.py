@@ -83,6 +83,14 @@ def test_finite_space_rejects_a_non_square_matrix():
         FiniteSpace(labels=("a", "b"), dist=np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("make", [lambda m: m, np.array], ids=["list", "array"])
+def test_finite_space_keeps_its_own_copy_of_the_matrix(make):
+    given = make([[0.0, 2.0], [2.0, 0.0]])
+    sp = FiniteSpace(labels=("a", "b"), dist=given)
+    given[0][1] = 7.0
+    assert sp.d("a", "b") == 2.0
+
+
 def test_identity_symmetry_reports():
     m = np.array([
         [0.0, 1.0, 2.0],
