@@ -219,8 +219,9 @@ def min_chain_sums(space: FiniteSpace, margin: float = 0.0) -> np.ndarray:
 
     sp[i][j] <= dist[i][j] always, and each entry is the smallest
     left-to-right rounded sum over chains from i to j, bitwise (see
-    _kernels.minplus_closure, which relaxes only the rows and columns a
-    chain can still lower; a row no chain lowers is its row of dist).
+    _kernels.minplus_closure: one blocked min-plus step over the rows a
+    chain can lower, then sweeps that relax a row through a pivot only
+    where its entry fell; a row no chain lowers is its row of dist).
     The identity and symmetry axioms must hold first, within margin. The
     diagonal is 0 on a zero-diagonal table, but a margin also admits
     small nonzero diagonal entries: a positive one

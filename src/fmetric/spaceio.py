@@ -16,13 +16,20 @@ label; snapping beyond the tolerance fails at application time, since
 that means the map leaves the carrier.
 
 CSV files carry a header row of labels followed by the square matrix,
-one row per line, with no witness or map.
+one row per line, with no witness or map. Rows holding only blank cells
+are skipped. A text with no quote character has one row per line, and
+its body below the header is parsed in C (numpy's loadtxt); the result
+is taken when it is square, the header's size and finite, and any other
+text, or a body loadtxt refuses, is walked cell by cell, which names the
+first bad row or cell. A quoted cell can span lines or hold commas, so a
+text with a quote is always walked.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -182,20 +189,56 @@ def _load_json(text: str):
     return space, witness, T
 
 
-def _load_csv(text: str):
-    rows = [r for r in csv.reader(text.splitlines()) if any(c.strip() for c in r)]
-    if len(rows) < 2:
-        raise SpaceFormatError("need a header row and at least one matrix row")
-    labels = tuple(_parse_label(c) for c in rows[0])
-    matrix = []
-    for i, row in enumerate(rows[1:], 1):
+def _nonblank_rows(reader):
+    """The rows of a csv reader that hold a non-blank cell; a row the csv
+    module refuses (a field over its size limit) is an input error naming
+    the row, counted as the other messages count rows, the header row 0."""
+    i = 0
+    try:
+        for row in reader:
+            if any(c.strip() for c in row):
+                yield row
+                i += 1
+    except csv.Error as e:
+        raise SpaceFormatError(f"row {i}: {e}") from None
+
+
+def _bulk_matrix(body: list, n: int) -> Optional[np.ndarray]:
+    """The n x n matrix of body, lines of comma-separated numbers, parsed in
+    one loadtxt call; None when loadtxt refuses a line or the result is not
+    n x n and finite, since only the walk names what is wrong."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt warns on a body with no data
         try:
-            matrix.append(list(map(float, row)))
+            m = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2)
         except ValueError:
-            for j, c in enumerate(row):
-                _parse_cell(c, f"row {i}, column {j}")
-    m = _check_matrix(matrix, len(labels))
-    return FiniteSpace(labels=labels, dist=m), None, None
+            return None
+    return m if m.shape == (n, n) and np.isfinite(m).all() else None
+
+
+def _load_csv(text: str):
+    lines = text.splitlines()
+    reader = csv.reader(lines)
+    rows = _nonblank_rows(reader)
+    header = next(rows, None)
+    m = None
+    if header is not None and '"' not in text:
+        # with no quote, the header is the reader's last line read, and
+        # each line below it is one row
+        m = _bulk_matrix(lines[reader.line_num :], len(header))
+    if m is None:
+        body = list(rows)
+        if header is None or not body:
+            raise SpaceFormatError("need a header row and at least one matrix row")
+        matrix = []
+        for i, row in enumerate(body, 1):
+            try:
+                matrix.append(list(map(float, row)))
+            except ValueError:
+                for j, c in enumerate(row):
+                    _parse_cell(c, f"row {i}, column {j}")
+        m = _check_matrix(matrix, len(header))
+    return FiniteSpace(labels=tuple(map(_parse_label, header)), dist=m), None, None
 
 
 def load_space_file(path) -> tuple[FiniteSpace, Optional[Witness], Optional[Callable]]:

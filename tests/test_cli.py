@@ -506,10 +506,10 @@ def _readme_examples():
 
 
 @pytest.mark.parametrize("command, shown", _readme_examples())
-def test_readme_examples_print_what_readme_shows(capsys, command, shown):
-    # lines before a "..." line open the output, lines after it close it
-    if command.startswith("fmetric verify --input table.csv"):
-        pytest.skip("table.csv is not in the repository")
+def test_readme_examples_print_what_readme_shows(capsys, monkeypatch, command, shown):
+    # lines before a "..." line open the output, lines after it close it;
+    # input paths are relative to the repository root, as README shows them
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
     code, out, _ = run(capsys, *command.split()[1:])
     assert code in (0, 1)
     lines = out.splitlines()

@@ -102,6 +102,19 @@ def positive_diagonal(seed: int, n: int) -> np.ndarray:
     return m
 
 
+def asymmetric(seed: int, n: int) -> np.ndarray:
+    """A random symmetric table with off-diagonal entries moved by up to 1e-3."""
+    shift = np.random.default_rng(seed + 1).uniform(0.0, 1e-3, (n, n))
+    np.fill_diagonal(shift, 0.0)
+    return random_symmetric(seed, n) + shift
+
+
+def integer_table(seed: int, n: int) -> np.ndarray:
+    """Symmetric integer entries in 1..5, where many chains tie exactly."""
+    m = np.triu(np.random.default_rng(seed).integers(1, 6, (n, n)), 1).astype(float)
+    return m + m.T
+
+
 CLOSURE_TABLES = {
     "permuted-collinear": lambda: permuted(collinear(5, 100), 6),
     "oscillating-orbit": lambda: oscillating_orbit_space(depth=40).space.dist,
@@ -113,6 +126,11 @@ CLOSURE_TABLES = {
     "non-metric-120": lambda: random_symmetric(8, 120),
     "positive-diagonal": lambda: positive_diagonal(7, 80),
     "euclidean": lambda: random_metric(9, 120).dist,
+    # symmetric only within a margin, so the step takes the full product
+    "asymmetric": lambda: asymmetric(10, 70),
+    "integer-ties": lambda: integer_table(11, 60),
+    # row and column counts that leave partial blocks in the step
+    **{f"non-metric-{n}": (lambda n=n: random_symmetric(n, n)) for n in (3, 17, 33, 47, 65)},
     "n0": lambda: np.zeros((0, 0)),
     "n1": lambda: np.zeros((1, 1)),
     "n2": lambda: np.array([[0.0, 0.3], [0.3, 0.0]]),
@@ -130,15 +148,37 @@ def test_closure_bitwise_equal_to_jacobi_reference(name):
         assert not np.array_equal(want, dist)  # rounding shortcuts were found
 
 
+FUZZ_KINDS = (
+    random_symmetric,
+    lambda seed, n: random_metric(seed, n).dist,
+    lambda seed, n: permuted(collinear(seed, n), seed + 1),
+    asymmetric,
+    positive_diagonal,
+    lambda seed, n: rect_b_family(max(2, n - 2)).dist,
+    integer_table,
+)
+
+
+def test_closure_bitwise_equal_to_jacobi_reference_on_fuzzed_tables():
+    rng = np.random.default_rng(2024)
+    for t in range(210):
+        n = int(rng.integers(3, 61))
+        dist = FUZZ_KINDS[t % len(FUZZ_KINDS)](int(rng.integers(1 << 30)), n)
+        assert _kernels.minplus_closure(dist).tobytes() == jacobi_closure(dist).tobytes(), (t, n)
+
+
 def relaxed_rows(monkeypatch, dist: np.ndarray) -> list:
     """The number of rows each sweep of the closure relaxes."""
     calls = []
     sweep = _kernels.relax_sweep
 
-    def counted(sp, d, order):
-        assert len(order) == dist.shape[0]  # every sweep visits every pivot
+    def counted(sp, d, applied, order):
+        # the step comes first and alone takes no applied values; every
+        # later sweep visits every pivot
+        assert (applied is None) == (not calls)
+        assert applied is None or len(order) == dist.shape[0]
         calls.append(sp.shape[0])
-        return sweep(sp, d, order)
+        return sweep(sp, d, applied, order)
 
     monkeypatch.setattr(_kernels, "relax_sweep", counted)
     _kernels.minplus_closure(dist)
@@ -150,6 +190,7 @@ def count_sweeps(monkeypatch, dist: np.ndarray) -> int:
 
 
 def test_euclidean_table_takes_one_sweep(monkeypatch):
+    # the step lowers nothing, so no pair is left pending
     assert count_sweeps(monkeypatch, random_metric(3, 150).dist) == 1
 
 
@@ -187,13 +228,37 @@ def test_column_bound_skips_columns_at_or_above_the_column_max():
     # a negative entry is outside the closure's domain, but it makes every
     # candidate through pivot 0 fall below the entry it meets, so each
     # column the pivot updates shows
-    sp = np.array([[-10.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]])
+    row = [-10.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
     dist = np.full((8, 8), 2.0)
     dist[0, :3] = [0.0, 0.5, 1.0]  # columns 0 and 2 sit at or above colmax
-    _kernels.relax_sweep(sp, dist, [0])
+    sp, applied = np.array([row]), np.array([[0.0, *row[1:]]])  # pending on pivot 0
+    _kernels.relax_sweep(sp, dist, applied, [0])
     assert sp.tolist() == [[-10.0, -9.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]]
+    assert applied[0, 0] == -10.0
     # with a quarter of the columns below colmax, the pivot updates whole rows
-    sp = np.array([[-10.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]])
+    sp, applied = np.array([row]), np.array([[0.0, *row[1:]]])
     dist[0, 3] = 0.5
-    _kernels.relax_sweep(sp, dist, [0])
+    _kernels.relax_sweep(sp, dist, applied, [0])
     assert sp.tolist() == [[-10.0, -9.5, -9.0, -9.5, -8.0, -8.0, -8.0, -8.0]]
+
+
+def test_pivot_relaxes_only_the_rows_pending_on_it():
+    # negative entries again make every relaxation through pivot 0 show.
+    # Row 0 is pending on pivot 0 and row 1 only on pivot 2, so pivot 0
+    # relaxes row 0 alone
+    dist = np.full((4, 4), 2.0)
+    dist[0] = 0.0
+    sp = np.tile([-10.0, 1.0, 1.0, 1.0], (4, 1))
+    applied = sp.copy()
+    applied[0, 0], applied[1, 2] = 0.0, 5.0
+    _kernels.relax_sweep(sp, dist, applied, [0])
+    assert sp.tolist() == [[-10.0] * 4] + [[-10.0, 1.0, 1.0, 1.0]] * 3
+    assert applied[:, 0].tolist() == [-10.0] * 4 and applied[1, 2] == 5.0
+    # with half of the rows pending, the pivot relaxes every row, which
+    # shows on the rows that are not pending, and records each as applied
+    sp = np.tile([-10.0, 1.0, 1.0, 1.0], (4, 1))
+    applied = sp.copy()
+    applied[:2, 0] = 0.0
+    _kernels.relax_sweep(sp, dist, applied, [0])
+    assert sp.tolist() == [[-10.0] * 4] * 4
+    assert applied[:, 0].tolist() == [-10.0] * 4

@@ -1,4 +1,6 @@
 import json
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from fmetric import (
     UnknownFunctionError,
     load_space_file,
     orbit,
+    spaceio,
 )
 
 
@@ -264,10 +267,21 @@ def _csv_error(tmp_path, text: str) -> tuple:
     ("a,b\n0,nan\n1,0\n", "matrix entry (0, 1) is nan; entries must be finite"),
     ("a,b\n0,1\n-inf,0\n", "matrix entry (1, 0) is -inf; entries must be finite"),
     ("a,b\n0,1\n1\n", "matrix row 1 has 1 entries, expected 2"),
+    # a quoted cell runs to its closing quote, here past every line
+    ('a,"b\n0,1\n1,0\n', "need a header row and at least one matrix row"),
 ])
 def test_csv_matrix_errors(tmp_path, text, message):
     got, path = _csv_error(tmp_path, text)
     assert got == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("text, row", [
+    ('a,b\n0,"' + "1" * 200_000 + '"\n1,0\n', 1),
+    ("a,b\n\n0,1\n1," + "1" * 200_000 + "\n", 2),
+], ids=["quoted", "unquoted"])
+def test_csv_field_over_the_csv_size_limit_names_its_row(tmp_path, text, row):
+    got, path = _csv_error(tmp_path, text)
+    assert got == f"{path}: row {row}: field larger than field limit (131072)"
 
 
 @pytest.mark.parametrize("text, where", [
@@ -313,6 +327,58 @@ def test_csv_matrix_bits_match_entrywise_conversion(tmp_path):
     space, _, _ = load_space_file(write(tmp_path, "m.csv", text))
     want = _reference_matrix([[float(c) for c in row] for row in cells])
     assert space.dist.tobytes() == want.tobytes()
+
+
+_CSV_CELLS = ["0", "1", "-0", "-0.0", " 7 ", "\t3", "2.5e-1", "+2", "5e-324", "1_0", "1e400",
+              "nan", "infinity", "-inf", "", " ", "x", "1e", '"1"', '"a,b"', '"2']
+_CSV_LINES = ["", "  ", ",,,", "\t"]
+
+
+def _csv_text(rng: random.Random) -> str:
+    """A small CSV text: mostly well-formed, with the cells, lines, line
+    ends and shapes that either path could read differently."""
+    n = rng.randint(1, 5)
+    labels = [rng.choice(["a", "2.5", " c", '"q', '"h,i"', ""]) if rng.random() < 0.2 else str(k)
+              for k in range(n)]
+    lines = [",".join(labels)]
+    for _ in range(n + rng.choice([0, 0, 0, -1, 1])):
+        width = n + rng.choice([0, 0, 0, 0, -1, 1])
+        lines.append(",".join(rng.choice(_CSV_CELLS) if rng.random() < 0.1 else repr(rng.uniform(0, 9))
+                              for _ in range(width)))
+    for _ in range(rng.randint(0, 2)):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(_CSV_LINES))
+    end = rng.choice(["\n", "\n", "\r\n", "\r", "\x0c"])
+    return end.join(lines) + rng.choice([end, ""])
+
+
+def _csv_outcome(text: str):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            space, _, _ = spaceio._load_csv(text)
+        except Exception as e:
+            return type(e), str(e)
+    return space.labels, space.dist.tobytes()
+
+
+def test_bulk_csv_path_reads_what_the_walk_reads(monkeypatch):
+    rng = random.Random(21)
+    texts = [_csv_text(rng) for _ in range(1500)]
+    accepted = []
+    bulk_matrix = spaceio._bulk_matrix
+    with monkeypatch.context() as m:
+        m.setattr(spaceio, "_bulk_matrix",
+                  lambda body, n: accepted.append(bulk_matrix(body, n)) or accepted[-1])
+        bulk = [_csv_outcome(t) for t in texts]
+    with monkeypatch.context() as m:
+        m.setattr(spaceio, "_bulk_matrix", lambda body, n: None)
+        walked = [_csv_outcome(t) for t in texts]
+    for text, got, want in zip(texts, bulk, walked):
+        assert got == want, text
+    # both paths and both outcomes are well represented
+    taken = sum(m is not None for m in accepted)
+    assert taken > 100 and len(accepted) - taken > 100
+    assert sum(type(w[0]) is type for w in walked) > 300
 
 
 @pytest.mark.parametrize("doc, error, message", [
