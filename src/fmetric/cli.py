@@ -139,7 +139,7 @@ def cmd_verify(args) -> tuple:
             "input": ex.id,
             "f": witness.f.name,
             "alpha": witness.alpha,
-            "axioms": [r.to_dict() for r in reports],
+            "axioms": reports,
         }
     names = {"D1": "identity", "D2": "symmetry", "D3": "chain inequality"}
     for r in reports:

@@ -185,12 +185,12 @@ def check_identity_symmetry(space: FiniteSpace, margin: float = 0.0):
     """Identity and symmetry axioms on the matrix.
 
     Returns two reports: one for the identity axiom (zero diagonal and
-    strictly positive off-diagonal), one for symmetry. margin >= 0
-    loosens every comparison for noisy inputs. Violations are listed
+    strictly positive off-diagonal), one for symmetry. A finite margin
+    >= 0 loosens every comparison for noisy inputs. Violations are listed
     diagonal first, then in row-major order.
     """
-    if not margin >= 0:
-        raise ValueError(f"margin must be >= 0, got {margin}")
+    if not 0 <= margin < math.inf:
+        raise ValueError(f"margin must be >= 0 and finite, got {margin}")
     m = space.dist
     diag = np.flatnonzero(np.abs(np.diagonal(m)) > margin)
     off_i, off_j = np.nonzero((m <= margin) & ~np.eye(space.n, dtype=bool))

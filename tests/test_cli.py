@@ -531,9 +531,10 @@ def test_solve_never_lands_on_a_nan_label(capsys, tmp_path):
     assert out == "status: converged\niterations: 1\nfixed_point: 1\nresidual: 0\n"
 
 
-@pytest.mark.parametrize("margin", ["nan", "-1"])
+@pytest.mark.parametrize("margin", ["nan", "-1", "inf"])
 def test_verify_margin_below_zero_or_nan_exit_2(capsys, tmp_path, margin):
-    # D2 fails on this table without a margin; a nan margin used to pass every axiom
+    # D2 fails on this table without a margin; a nan margin used to pass every
+    # axiom, and an infinite one failed every off-diagonal pair of D1
     p = tmp_path / "t.csv"
     p.write_text("0,1,2\n0,5,1\n1,0,1\n2,1,7\n")
     assert run(capsys, "verify", "--input", str(p), "--alpha", "0")[0] == 1

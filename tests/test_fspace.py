@@ -168,9 +168,10 @@ def test_verify_D3_margin_absorbs_near_ties():
         assert verify_D3(space, Witness(LN, shaved), margin=a * 1e-11).passed
 
 
-@pytest.mark.parametrize("margin", [float("nan"), -1.0, -1e-300])
+@pytest.mark.parametrize("margin", [float("nan"), -1.0, -1e-300, float("inf")])
 def test_margin_below_zero_or_nan_is_rejected(margin):
-    # every comparison with a nan margin is false, so it would pass any table
+    # every comparison with a nan margin is false, so it would pass any table;
+    # an infinite one would make every off-diagonal entry a D1 failure
     space = FiniteSpace(labels=("a", "b", "c"), dist=np.array([[0, 5, 1], [1, 0, 1], [2, 1, 7.0]]))
     w = Witness(LN, 0.0)
     for call in (lambda: check_identity_symmetry(space, margin), lambda: verify_D3(space, w, margin),

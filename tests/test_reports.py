@@ -181,6 +181,48 @@ def test_verification_to_dict_equals_the_per_violation_construction():
         assert dumps(got) == reference(want)
 
 
+# labels that need escaping or a %, a numpy scalar, an inf and a tuple,
+# which is written as a nested list
+ESCAPED_LABELS = ('a"%s', "b\\", "%%", "é", np.int64(7), float("inf"), (1, "x"))
+
+
+def _written_reports():
+    from fmetric import FGenerator, FiniteSpace, Witness, lookup_function, verify_D3
+
+    n = len(ESCAPED_LABELS)
+    table = np.random.default_rng(4).uniform(0.1, 10.0, (n, n))
+    space = FiniteSpace(ESCAPED_LABELS, np.triu(table, 1) + np.triu(table, 1).T)
+    ln = lookup_function("ln", "generator")
+    # an integer-valued generator leaves lhs an integer column
+    floor = FGenerator("floor", lambda t: np.floor(10 * t).astype(int))
+    return [verify_D3(space, Witness(ln, 0.0)), verify_D3(space, Witness(floor, 0.0)),
+            verify_D3(space, Witness(ln, 100.0)), *_verification_reports()]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_a_verification_report_writes_the_bytes_of_its_to_dict():
+    reports = _written_reports()
+    ln_fails, floor_fails, ln_passes = reports[:3]
+    # every label is named by some violation
+    assert set(ln_fails.ii) | set(ln_fails.jj) == set(range(len(ESCAPED_LABELS)))
+    assert floor_fails.lhs.dtype.kind == "i" and floor_fails.ii.size and ln_passes.passed
+    assert float("-inf") in reports[-1].rhs
+    for r in reports:
+        assert dumps(r) == reference(r.to_dict()) == reference(r)
+        assert dumps({"axioms": [r]}) == reference({"axioms": [r.to_dict()]})
+    assert dumps({"axioms": reports}) == reference({"axioms": reports})
+
+
+def test_structured_verify_with_many_violations_reads_back_as_written(capsys):
+    code = cli.main(["verify", "--example", "oscillating-orbit", "--depth", "30", "--alpha", "0",
+                     "--output", "structured"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert len(json.loads(out)["axioms"][2]["violations"]) == 928
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def _hand_written_dict(report) -> dict:
     """The dicts ConditionReport, SolveReport and PropertyReport built by hand
     before they shared one field-wise to_dict."""
