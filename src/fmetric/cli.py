@@ -11,6 +11,7 @@ Same inputs and seed give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from fractions import Fraction
@@ -374,5 +375,20 @@ def main(argv=None) -> int:
     return 0 if passed else 1
 
 
+def run(argv=None) -> int:
+    """main(argv), for a process that exits with its code: the console
+    script and `python -m fmetric.cli` start here.
+
+    Everything alive when main returns dies with the process, so it is
+    frozen: the collections at interpreter shutdown then skip the ~22,000
+    objects the imports made instead of walking them again. Shutdown is
+    otherwise unchanged, so atexit handlers run and stdout and stderr are
+    flushed.
+    """
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

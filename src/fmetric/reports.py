@@ -151,7 +151,9 @@ class VerificationReport:
         item, key = inner + "  ", inner + "    "
         slot = key + "  "
         lab = [None] * len(self.labels)
-        for k in np.unique(np.concatenate((self.ii, self.jj))).tolist():
+        named = np.zeros(len(self.labels), dtype=bool)  # np.unique would import numpy.ma
+        named[self.ii] = named[self.jj] = True
+        for k in np.flatnonzero(named).tolist():
             lab[k] = _encode(_jsonable(self.labels[k]), slot)
         record = ("{" + key + '"pair": [' + slot + "%s," + slot + "%s" + key + "],"
                   + key + '"lhs": %s,' + key + '"rhs": %s' + item + "}")

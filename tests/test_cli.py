@@ -839,3 +839,42 @@ def test_a_closed_stdout_exits_141_with_nothing_on_stderr():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+def _python(*args):
+    """A fresh interpreter run with args, fmetric imported from this tree."""
+    src = str(Path(fmetric.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["verify", "--example", "oscillating-orbit", "--depth", "30", "--alpha", "0",
+      "--output", "structured"], 1),
+    (["verify", "--example", "rect-b", "--margin", "inf"], 2),
+])
+def test_the_module_entry_point_prints_what_main_prints(argv, code, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal, and a pipe has none
+    proc = _python("-m", "fmetric.cli", *argv)
+    assert run(capsys, *argv) == (code, proc.stdout.decode(), proc.stderr.decode())
+    assert proc.returncode == code
+    if code == 2:
+        assert proc.stderr.count(b"\n") == 1
+
+
+def test_run_freezes_the_collector_before_it_returns():
+    proc = _python("-c", "import gc; from fmetric import cli; cli.run(['--help']); "
+                         "print(gc.get_freeze_count() > 0)")
+    assert proc.returncode == 0
+    assert proc.stdout.decode().splitlines()[-1] == "True"
+
+
+def test_a_structured_verify_with_violations_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma, which nothing else in a command needs
+    proc = _python("-c", "import contextlib, io, sys; from fmetric import cli\n"
+                         "with contextlib.redirect_stdout(io.StringIO()):\n"
+                         "    code = cli.main(['verify', '--example', 'oscillating-orbit', '--depth', '30',"
+                         " '--alpha', '0', '--output', 'structured'])\n"
+                         "print(code, 'numpy.ma' in sys.modules)")
+    assert proc.stdout.decode() == "1 False\n"
