@@ -369,7 +369,7 @@ def main(argv=None) -> int:
         # what is still buffered goes to devnull, so the exit flush cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, what a shell reports for a writer the pipe killed
-    except (FmetricError, ValueError, OSError) as e:
+    except (FmetricError, ValueError, OSError, MemoryError) as e:  # MemoryError: numpy refused a table
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 0 if passed else 1

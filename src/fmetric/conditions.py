@@ -33,10 +33,22 @@ from .solver import IterationTrace, apply_map, orbit
 
 @dataclass(frozen=True)
 class PairSample:
-    """Point pairs to check, with a provenance string for reproduction."""
+    """Point pairs to check, with a provenance string for reproduction.
+
+    points holds the distinct points in order of first appearance over
+    x0, y0, x1, y1, ..., and ranks[k] the index in points of the point
+    at that flat position k, so ranks[0::2] and ranks[1::2] gather the
+    pairs' first and second points.
+    """
 
     pairs: tuple
     source: str
+
+    def __post_init__(self):
+        flat = list(itertools.chain.from_iterable(self.pairs))
+        rank = dict(zip(dict.fromkeys(flat), itertools.count()))
+        object.__setattr__(self, "points", tuple(rank))
+        object.__setattr__(self, "ranks", np.fromiter(map(rank.__getitem__, flat), np.intp, len(flat)))
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -102,34 +114,16 @@ def all_pairs(space) -> PairSample:
     return PairSample(tuple(itertools.combinations(pts, 2)), f"all_pairs({len(pts)} points)")
 
 
-def _map_distinct(space, T, pairs):
-    """Apply T once per distinct sample point, in pair order (x0, y0, x1, y1, ...),
-    so the first failing point in that order raises its DomainError.
-
-    Returns (where, u, tu): where[k] is the rank among the distinct points
-    u of the point at flat position k, and tu holds their images, both
-    coded by space.as_array for space.dists. The dict of distinct points
-    dies on return, before the per-pair arrays are built, which keeps peak
-    memory near that of the sample itself.
-    """
-    distinct = {}  # point -> rank of its first appearance
-    where = np.fromiter(
-        (distinct.setdefault(p, len(distinct)) for pair in pairs for p in pair),
-        dtype=np.intp,
-        count=2 * len(pairs),
-    )
-    tu = space.as_array(apply_map(space, T, p) for p in distinct)
-    return where, space.as_array(distinct), tu
-
-
 def _pairwise_report(name, space, T, phi, sample: PairSample, kannan: bool) -> ConditionReport:
     """Report of the Edelstein or Kannan inequality, one entry per sample pair.
 
-    Every distinct point is mapped before any distance is taken; a
+    The sample's distinct points are mapped in their order, so the first
+    failing point in pair order raises, before any distance is taken; a
     negative distance then raises phi's DomainError.
     """
-    where, u, tu = _map_distinct(space, T, sample.pairs)
-    wx, wy = where[0::2], where[1::2]
+    tu = space.as_array(apply_map(space, T, p) for p in sample.points)
+    u = space.as_array(sample.points)
+    wx, wy = sample.ranks[0::2], sample.ranks[1::2]
     lhs = phi.eval(space.dists(tu[wx], tu[wy]))
     if kannan:
         phi_disp = phi.eval(space.dists(u, tu))  # phi(d(u, Tu)) once per distinct u

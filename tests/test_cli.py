@@ -878,3 +878,16 @@ def test_a_structured_verify_with_violations_does_not_import_numpy_ma():
                          " '--alpha', '0', '--output', 'structured'])\n"
                          "print(code, 'numpy.ma' in sys.modules)")
     assert proc.stdout.decode() == "1 False\n"
+
+
+def test_a_table_too_large_for_memory_is_an_input_error(capsys, monkeypatch):
+    # the table's allocation fails as numpy's would, without asking for the memory
+    from fmetric import cli
+
+    def refuse(space, rows, cols=None):
+        raise MemoryError("Unable to allocate 298. GiB for an array with shape (200000, 200000)")
+
+    monkeypatch.setattr(cli, "distance_table", refuse)
+    code, out, err = run(capsys, "verify", "--example", "sequence-space", "--N", "200000", "--alpha", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: Unable to allocate 298. GiB for an array with shape (200000, 200000)\n"

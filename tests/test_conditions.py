@@ -81,6 +81,38 @@ def test_random_pairs_on_bounds_match_per_pair_draws(seed):
             assert [type(v) for pair in got for v in pair] == [type(v) for pair in want for v in pair]
 
 
+def _pinned_samples():
+    """Samples of every sampler and kind of carrier, by name; the narrow
+    interval and the two-point carrier repeat points often."""
+    eps = np.finfo(float).eps
+    narrow = AnalyticSpace(point_kind="real", dist_rule=lambda x, y: abs(x - y),
+                           bounds=(1.0, 1.0 + 2 * eps))
+    two = FiniteSpace(("a", 7), [[0.0, 1.0], [1.0, 0.0]])
+    orbit5 = oscillating_orbit_space(depth=5).space
+    return {
+        "all-sequence": all_pairs(sequence_space(N=12).space),
+        "all-finite": all_pairs(orbit5),
+        "grid-finite": grid_pairs(orbit5, 17),
+        "grid-interval": grid_pairs(interval_halving().space, 40),
+        "random-two-points": random_pairs(two, 50, seed=3),
+        "random-finite": random_pairs(oscillating_orbit_space(depth=3).space, 200, seed=1),
+        "random-narrow-interval": random_pairs(narrow, 300, seed=4),
+        "hand": PairSample((("b", 1), (1, "b"), ("c", 1), (1, 1.5), ("b", "c")), "hand"),
+        "empty": PairSample((), "empty"),
+    }
+
+
+@pytest.mark.parametrize("sample", [pytest.param(s, id=k) for k, s in _pinned_samples().items()])
+def test_a_sample_ranks_its_distinct_points_in_pair_order(sample):
+    flat = [p for pair in sample.pairs for p in pair]
+    assert sample.points == tuple(dict.fromkeys(flat))
+    assert sample.ranks.dtype == np.intp and sample.ranks.shape == (len(flat),)
+    points = np.empty(len(sample.points), dtype=object)
+    points[:] = sample.points
+    assert tuple(zip(points[sample.ranks[0::2]], points[sample.ranks[1::2]])) == tuple(sample.pairs)
+    assert [type(p) for p in points[sample.ranks]] == [type(p) for p in flat]
+
+
 def test_random_pairs_on_finite_space():
     ex = oscillating_orbit_space(depth=5)
     s = random_pairs(ex.space, 30, seed=0)
