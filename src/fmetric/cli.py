@@ -370,7 +370,8 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, what a shell reports for a writer the pipe killed
     except (FmetricError, ValueError, OSError, MemoryError) as e:  # MemoryError: numpy refused a table
-        print(f"error: {e}", file=sys.stderr)
+        # Python's own MemoryError, say for a carrier tuple, carries no message
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
     return 0 if passed else 1
 

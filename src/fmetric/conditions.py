@@ -4,10 +4,13 @@ All comparisons are strict and use exact float comparison: a tie is a
 violation. Each report records the sample provenance and the smallest
 rhs - lhs margin so near-ties are visible.
 
-Every check runs on whole arrays. The pairwise checks map each distinct
-sample point once, take distances in one call of space.dists, and
-evaluate phi once per array; the orbit checks read the orbit that
-solver.orbit walked and map nothing again. Each float operation is the
+Every check runs on whole arrays. A pair sample is two index columns
+into its distinct points, 16 bytes per pair, so an --all-pairs sample too
+large for memory is refused when its columns are allocated (the CLI exits
+2). The pairwise checks map each distinct sample point once, gather by
+the columns, take distances in one call of space.dists, and evaluate phi
+once per array; the orbit checks read the orbit that solver.orbit walked
+and map nothing again. Each float operation is the
 one a pair-by-pair evaluation would make, so reports are identical to it
 bit for bit. A check maps every distinct sample point (or walks the
 orbit) before it measures anything: a failing map raises for the first
@@ -18,8 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,27 +33,47 @@ from .reports import ConditionReport
 from .solver import IterationTrace, apply_map, orbit
 
 
-@dataclass(frozen=True)
+def _rank(flat: list):
+    """The distinct values of flat in order of first appearance, and each
+    value's index among them."""
+    rank = dict(zip(dict.fromkeys(flat), itertools.count()))
+    return tuple(rank), np.fromiter(map(rank.__getitem__, flat), np.intp, len(flat))
+
+
 class PairSample:
     """Point pairs to check, with a provenance string for reproduction.
 
-    points holds the distinct points in order of first appearance over
-    x0, y0, x1, y1, ..., and ranks[k] the index in points of the point
-    at that flat position k, so ranks[0::2] and ranks[1::2] gather the
-    pairs' first and second points.
+    A sample is two index columns: points holds the distinct points in
+    order of first appearance over x0, y0, x1, y1, ..., and pair k is
+    (points[first[k]], points[second[k]]), 16 bytes per pair. The
+    samplers emit these codes; PairSample(pairs, source) codes hand-made
+    pairs the same way, and .pairs builds the tuples only when read.
     """
 
-    pairs: tuple
-    source: str
+    def __init__(self, pairs, source: str):
+        points, codes = _rank(list(itertools.chain.from_iterable(pairs)))
+        self._hold(points, codes[0::2], codes[1::2], source)
 
-    def __post_init__(self):
-        flat = list(itertools.chain.from_iterable(self.pairs))
-        rank = dict(zip(dict.fromkeys(flat), itertools.count()))
-        object.__setattr__(self, "points", tuple(rank))
-        object.__setattr__(self, "ranks", np.fromiter(map(rank.__getitem__, flat), np.intp, len(flat)))
+    @classmethod
+    def _coded(cls, points: tuple, first: np.ndarray, second: np.ndarray, source: str) -> PairSample:
+        sample = cls.__new__(cls)
+        sample._hold(points, first, second, source)
+        return sample
+
+    def _hold(self, points, first, second, source):
+        first.flags.writeable = second.flags.writeable = False  # .pairs is cached from them
+        self.points, self.first, self.second, self.source = points, first, second, source
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.first)
+
+    def pair(self, k) -> tuple:
+        return self.points[self.first[k]], self.points[self.second[k]]
+
+    @cached_property
+    def pairs(self) -> tuple:
+        at = self.points.__getitem__
+        return tuple(zip(map(at, self.first.tolist()), map(at, self.second.tolist())))
 
 
 def _carrier(space):
@@ -77,15 +99,27 @@ def random_pairs(space, count: int, seed: int) -> PairSample:
         raise ValueError("count must be >= 1")
     pts = _carrier(space)
     rng = np.random.default_rng(seed)
-    if pts is None:
-        draw, take = partial(rng.uniform, *space.bounds), tuple
-    else:
-        draw, take = partial(rng.integers, 0, len(pts)), lambda ij: (pts[ij[0]], pts[ij[1]])
-    pairs = []
-    while len(pairs) < count:
-        rows = draw(size=(count - len(pairs), 2))
-        pairs += map(take, rows[rows[:, 0] != rows[:, 1]].tolist())
-    return PairSample(tuple(pairs), f"random(seed={seed}, count={count})")
+    draw = partial(rng.uniform, *space.bounds) if pts is None else partial(rng.integers, 0, len(pts))
+    rows, kept = [], 0
+    while kept < count:
+        drawn = draw(size=(count - kept, 2))
+        rows.append(drawn[drawn[:, 0] != drawn[:, 1]])
+        kept += len(rows[-1])
+    keys, codes = _rank(np.concatenate(rows).ravel().tolist())
+    points = keys if pts is None else tuple(map(pts.__getitem__, keys))
+    return PairSample._coded(points, codes[0::2], codes[1::2], f"random(seed={seed}, count={count})")
+
+
+def _upper_triangle(pts, count: int, source: str) -> PairSample:
+    """The first `count` index pairs i < j of pts in row-major order (the
+    order of itertools.combinations), in O(len(pts) + count) memory."""
+    sizes = np.arange(len(pts) - 1, 0, -1)  # row i pairs i with i+1, ..., n-1
+    sizes = sizes[: np.searchsorted(np.cumsum(sizes), count) + 1]  # the rows the count reaches
+    first = np.repeat(np.arange(sizes.size), sizes)[:count]
+    starts = np.cumsum(sizes) - sizes  # each row's position in the row-major order
+    second = np.arange(first.size) - starts[first] + first + 1
+    # row 0 introduces the points in carrier order, so they are a prefix of it
+    return PairSample._coded(tuple(pts[: second.max() + 1]), first, second, source)
 
 
 def grid_pairs(space, count: int) -> PairSample:
@@ -103,15 +137,15 @@ def grid_pairs(space, count: int) -> PairSample:
     else:
         lo, hi = space.bounds
         m = max(2, math.ceil((1 + math.sqrt(1 + 8 * count)) / 2))
-        pts = [float(v) for v in np.linspace(lo, hi, m)]
+        pts = np.linspace(lo, hi, m).tolist()
         src = f"grid({m} points on [{lo:g}, {hi:g}])"
-    return PairSample(tuple(itertools.islice(itertools.combinations(pts, 2), count)), src)
+    return _upper_triangle(pts, count, src)
 
 
 def all_pairs(space) -> PairSample:
     """Every unordered pair of the enumerated carrier."""
     pts = _carrier(space) or space.points()
-    return PairSample(tuple(itertools.combinations(pts, 2)), f"all_pairs({len(pts)} points)")
+    return _upper_triangle(pts, len(pts) * (len(pts) - 1) // 2, f"all_pairs({len(pts)} points)")
 
 
 def _pairwise_report(name, space, T, phi, sample: PairSample, kannan: bool) -> ConditionReport:
@@ -123,7 +157,7 @@ def _pairwise_report(name, space, T, phi, sample: PairSample, kannan: bool) -> C
     """
     tu = space.as_array(apply_map(space, T, p) for p in sample.points)
     u = space.as_array(sample.points)
-    wx, wy = sample.ranks[0::2], sample.ranks[1::2]
+    wx, wy = sample.first, sample.second
     lhs = phi.eval(space.dists(tu[wx], tu[wy]))
     if kannan:
         phi_disp = phi.eval(space.dists(u, tu))  # phi(d(u, Tu)) once per distinct u
@@ -131,7 +165,7 @@ def _pairwise_report(name, space, T, phi, sample: PairSample, kannan: bool) -> C
     else:
         rhs = phi.eval(space.dists(u[wx], u[wy]))
     return _strict_report(
-        f"{name}({phi.name})", lhs, rhs, sample.source, lambda k: {"pair": sample.pairs[k]}
+        f"{name}({phi.name})", lhs, rhs, sample.source, lambda k: {"pair": sample.pair(k)}
     )
 
 

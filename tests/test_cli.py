@@ -880,14 +880,26 @@ def test_a_structured_verify_with_violations_does_not_import_numpy_ma():
     assert proc.stdout.decode() == "1 False\n"
 
 
-def test_a_table_too_large_for_memory_is_an_input_error(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "refusal, reason",
+    [
+        pytest.param(
+            MemoryError("Unable to allocate 298. GiB for an array with shape (200000, 200000)"),
+            "Unable to allocate 298. GiB for an array with shape (200000, 200000)",
+            id="numpy",
+        ),
+        # Python's own refusal, as for a carrier tuple, has no message
+        pytest.param(MemoryError(), "out of memory", id="bare"),
+    ],
+)
+def test_a_table_too_large_for_memory_is_an_input_error(capsys, monkeypatch, refusal, reason):
     # the table's allocation fails as numpy's would, without asking for the memory
     from fmetric import cli
 
     def refuse(space, rows, cols=None):
-        raise MemoryError("Unable to allocate 298. GiB for an array with shape (200000, 200000)")
+        raise refusal
 
     monkeypatch.setattr(cli, "distance_table", refuse)
     code, out, err = run(capsys, "verify", "--example", "sequence-space", "--N", "200000", "--alpha", "0")
     assert (code, out) == (2, "")
-    assert err == "error: Unable to allocate 298. GiB for an array with shape (200000, 200000)\n"
+    assert err == f"error: {reason}\n"

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -106,11 +107,34 @@ def _pinned_samples():
 def test_a_sample_ranks_its_distinct_points_in_pair_order(sample):
     flat = [p for pair in sample.pairs for p in pair]
     assert sample.points == tuple(dict.fromkeys(flat))
-    assert sample.ranks.dtype == np.intp and sample.ranks.shape == (len(flat),)
+    for codes in (sample.first, sample.second):
+        assert codes.dtype == np.intp and codes.shape == (len(sample),)
     points = np.empty(len(sample.points), dtype=object)
     points[:] = sample.points
-    assert tuple(zip(points[sample.ranks[0::2]], points[sample.ranks[1::2]])) == tuple(sample.pairs)
-    assert [type(p) for p in points[sample.ranks]] == [type(p) for p in flat]
+    rebuilt = tuple(zip(points[sample.first], points[sample.second]))
+    assert rebuilt == sample.pairs
+    assert [type(p) for pair in rebuilt for p in pair] == [type(p) for p in flat]
+    # the tuple constructor codes the pairs as the sampler did
+    again = PairSample(sample.pairs, sample.source)
+    assert again.points == sample.points
+    assert np.array_equal(again.first, sample.first) and np.array_equal(again.second, sample.second)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_pairs_take_memory_in_the_count_not_the_triangle():
+    # 1000 pairs of 5000 points: an n x n mask would take 25 MB, the whole
+    # triangle 200 MB; beyond the carrier tuple the sample stays small
+    space = sequence_space(N=5000).space
+    carrier = _peak_bytes(space.points)
+    assert _peak_bytes(lambda: grid_pairs(space, 1000)) - carrier < 1_000_000
 
 
 def test_random_pairs_on_finite_space():

@@ -1,0 +1,56 @@
+"""The paper's implications, checked across layers on seeded random instances.
+
+Strict contraction implies one fixed point, reached by Picard. On a finite
+carrier with d symmetric and d(x, y) = 0 iff x = y this needs no chain
+axiom: take a non-fixed x that minimizes d(x, Tx); strict Edelstein on the
+pair (x, Tx), or strict Kannan with a non-decreasing phi, gives
+d(Tx, T^2 x) < d(x, Tx), so Tx is fixed. The same argument on a cycle's
+points rules out every cycle of length >= 2, so each orbit reaches the
+fixed point within n - 1 steps, and two fixed points u != v would give
+phi(d(u, v)) < 0 (Kannan) or phi(d(u, v)) < phi(d(u, v)) (Edelstein).
+
+Sequence-space is the infinite case: there the strict Kannan inequality
+holds on every sampled pair and there is no fixed point, because the
+theorem needs a constant lambda < 1/2, not the strict inequality alone.
+A counterexample here is a defect in one of the layers involved.
+"""
+import numpy as np
+
+from fmetric import (
+    STATUS_CONVERGED,
+    FiniteSpace,
+    all_pairs,
+    edelstein_check,
+    fixed_point_scan,
+    kannan_check,
+    lookup_function,
+    picard,
+)
+
+ID = lookup_function("id", "altering")
+
+
+def _random_instances(seed, count):
+    """Symmetric tables with zero diagonal and positive off-diagonal
+    entries on the labels 0..n-1, n = 2..6, each with a random self-map."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        upper = np.triu(rng.uniform(0.1, 1.0, size=(n, n)), 1)
+        space = FiniteSpace(tuple(range(n)), upper + upper.T)
+        yield space, dict(enumerate(rng.integers(0, n, size=n).tolist())).__getitem__
+
+
+def test_strict_contraction_on_all_pairs_gives_one_fixed_point_reached_by_picard():
+    qualified = 0
+    for space, T in _random_instances(seed=0, count=600):
+        sample = all_pairs(space)
+        if not (kannan_check(space, T, ID, sample).passed or edelstein_check(space, T, ID, sample).passed):
+            continue
+        qualified += 1
+        fixed = fixed_point_scan(space, T)
+        assert len(fixed) == 1, (space.dist, [T(x) for x in space.labels])
+        for x0 in space.labels:
+            rep = picard(space, T, x0, tol=1e-12, max_iter=space.n)
+            assert rep.status == STATUS_CONVERGED and rep.fixed_point == fixed[0], (x0, rep)
+    assert qualified >= 50  # the implication was exercised, not vacuous
