@@ -219,16 +219,16 @@ def cmd_check(args) -> tuple:
             horizon=args.horizon,
         )
     if args.output == "structured":
-        return rep.passed, {"input": ex.id, **rep.to_dict()}
+        return rep.passed, {"input": ex.id, **rep.doc()}
     print(f"condition: {rep.condition}")
     print(f"sample: {rep.source}")
     print(f"checked: {rep.checked}")
     print(f"margin_min: {_fmt(rep.margin_min)}")
     print(f"passed: {_fmt(rep.passed)}")
-    for v in rep.violations[:_SHOWN_VIOLATIONS]:
+    for v in rep.found.records(_SHOWN_VIOLATIONS):
         print("  " + " ".join(f"{k}={_fmt(val)}" for k, val in v.items()))
-    if len(rep.violations) > _SHOWN_VIOLATIONS:
-        print(f"  ... and {len(rep.violations) - _SHOWN_VIOLATIONS} more")
+    if len(rep.found) > _SHOWN_VIOLATIONS:
+        print(f"  ... and {len(rep.found) - _SHOWN_VIOLATIONS} more")
     return rep.passed, None
 
 

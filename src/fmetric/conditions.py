@@ -10,12 +10,14 @@ large for memory is refused when its columns are allocated (the CLI exits
 2). The pairwise checks map each distinct sample point once, gather by
 the columns, take distances in one call of space.dists, and evaluate phi
 once per array; the orbit checks read the orbit that solver.orbit walked
-and map nothing again. Each float operation is the
-one a pair-by-pair evaluation would make, so reports are identical to it
-bit for bit. A check maps every distinct sample point (or walks the
-orbit) before it measures anything: a failing map raises for the first
-failing point in pair order, and only then is a negative distance
-rejected, by the DomainError that phi raises for it.
+and map nothing again. Every check hands its arrays to _report, which
+keeps the failing rows as columns (reports.Violations, 32 bytes per
+failing pair) and builds no violation until one is read. Each
+float operation is the one a pair-by-pair evaluation would make, so
+reports are identical to it bit for bit. A check maps every distinct
+sample point (or walks the orbit) before it measures anything: a failing
+map raises for the first failing point in pair order, and only then is a
+negative distance rejected, by the DomainError that phi raises for it.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ import numpy as np
 from .errors import DomainError
 from .fclass import AlteringDistance
 from .fspace import AnalyticSpace, FiniteSpace, distance_table
-from .reports import ConditionReport
+from .reports import ConditionReport, Violations
 from .solver import IterationTrace, apply_map, orbit
 
 
@@ -66,9 +68,6 @@ class PairSample:
 
     def __len__(self) -> int:
         return len(self.first)
-
-    def pair(self, k) -> tuple:
-        return self.points[self.first[k]], self.points[self.second[k]]
 
     @cached_property
     def pairs(self) -> tuple:
@@ -164,23 +163,22 @@ def _pairwise_report(name, space, T, phi, sample: PairSample, kannan: bool) -> C
         rhs = 0.5 * (phi_disp[wx] + phi_disp[wy])
     else:
         rhs = phi.eval(space.dists(u[wx], u[wy]))
-    return _strict_report(
-        f"{name}({phi.name})", lhs, rhs, sample.source, lambda k: {"pair": sample.pair(k)}
-    )
+    return _report(f"{name}({phi.name})", sample.source, lhs, rhs, ~(lhs < rhs), sample.points,
+                   pair=np.column_stack((wx, wy)))
 
 
-def _strict_report(condition, lhs, rhs, source, tag) -> ConditionReport:
-    """Report of lhs < rhs over whole arrays; tag(k) names pair k in a violation."""
-    bad = np.flatnonzero(~(lhs < rhs))
-    return ConditionReport(
-        condition=condition,
-        passed=bad.size == 0,
-        checked=lhs.size,
-        violations=[{**tag(k), "lhs": float(lhs[k]), "rhs": float(rhs[k])} for k in bad],
-        # fmin skips a NaN (inf - inf) margin and the initial inf covers an empty sample
-        margin_min=float(np.fmin.reduce(rhs - lhs, initial=math.inf)),
-        source=source,
-    )
+def _report(condition, source, lhs, rhs, bad, labels=(), **columns) -> ConditionReport:
+    """Report of lhs against rhs over whole arrays, failing where bad.
+
+    columns name each item (a pair column indexes labels); their rows
+    where bad, then lhs and rhs there as floats, are the violations.
+    """
+    keep = np.flatnonzero(bad)
+    found = Violations(labels, **{name: c[keep] for name, c in columns.items()},
+                       lhs=lhs[keep].astype(float), rhs=rhs[keep].astype(float))
+    # fmin skips a NaN (inf - inf) margin and the initial inf covers an empty sample
+    margin = float(np.fmin.reduce(rhs - lhs, initial=math.inf))
+    return ConditionReport(condition, keep.size == 0, lhs.size, found, margin, source)
 
 
 def edelstein_check(space, T: Callable, phi: AlteringDistance, sample: PairSample) -> ConditionReport:
@@ -213,11 +211,8 @@ def orbital_kannan_check(space, T: Callable, phi: AlteringDistance, x0, count: i
     step, succ = s[index], s[index + 1]
     lhs = phi.eval(succ)
     rhs = 0.5 * (phi.eval(step) + lhs)
-    index = index.tolist()
-    return _strict_report(
-        f"orbital_kannan({phi.name})", lhs, rhs, f"orbit(x0={x0!r}, pairs={count})",
-        lambda k: {"pair": (tr.points[index[k]], tr.points[index[k] + 1]), "index": index[k]},
-    )
+    return _report(f"orbital_kannan({phi.name})", f"orbit(x0={x0!r}, pairs={count})", lhs, rhs,
+                   ~(lhs < rhs), tr.points, pair=np.column_stack((index, index + 1)), index=index)
 
 
 def monotone_step_check(trace: IterationTrace, phi: AlteringDistance) -> ConditionReport:
@@ -231,10 +226,9 @@ def monotone_step_check(trace: IterationTrace, phi: AlteringDistance) -> Conditi
     zero = np.flatnonzero(s == 0.0)
     if zero.size:
         s = s[: zero[0]]
-    return _strict_report(
-        f"monotone_step({phi.name})", phi.eval(s[1:]), phi.eval(s[:-1]),
-        f"trace of {len(trace)} points", lambda k: {"step": int(k)},
-    )
+    lhs, rhs = phi.eval(s[1:]), phi.eval(s[:-1])
+    return _report(f"monotone_step({phi.name})", f"trace of {len(trace)} points", lhs, rhs,
+                   ~(lhs < rhs), step=np.arange(lhs.size))
 
 
 def shift_condition_check(
@@ -270,24 +264,11 @@ def shift_condition_check(
     upper = np.triu(distance_table(space, tr.points), 1)  # pairs i < j, zeros elsewhere
     pd = phi.eval(upper)
     near, succ = pd[:-1, :-1], pd[1:, 1:]
-    violations = []
-    margin = math.inf
-    trigger_counts = []
-    for eps, delta in levels:
-        i, j = np.nonzero(np.triu(near < eps + delta, 1))
-        lhs = succ[i, j]
-        margin = float(np.fmin.reduce(eps - lhs, initial=margin))
-        violations += [
-            {"i": int(i[k]), "j": int(j[k]), "eps": eps, "lhs": float(lhs[k]), "rhs": eps}
-            for k in np.flatnonzero(lhs > eps)
-        ]
-        trigger_counts.append((eps, i.size))
-    return ConditionReport(
-        condition=f"shift({phi.name})",
-        passed=not violations,
-        checked=sum(c for _, c in trigger_counts),
-        violations=violations,
-        margin_min=margin,
-        source=f"orbit(x0={x0!r}, horizon={horizon}); triggers per eps: "
-        + ", ".join(f"{e:g}:{c}" for e, c in trigger_counts),
-    )
+    triggered = [np.nonzero(np.triu(near < eps + delta, 1)) for eps, delta in levels]
+    i, j = (np.concatenate(c) for c in zip(*triggered))
+    counts = [t[0].size for t in triggered]
+    eps = np.repeat(np.array([e for e, _ in levels], dtype=float), counts)
+    lhs = succ[i, j]
+    source = f"orbit(x0={x0!r}, horizon={horizon}); triggers per eps: " + ", ".join(
+        f"{e:g}:{c}" for (e, _), c in zip(levels, counts))
+    return _report(f"shift({phi.name})", source, lhs, eps, lhs > eps, i=i, j=j, eps=eps)

@@ -1,10 +1,10 @@
 """Report dataclasses shared across the checking modules.
 
 Conventions: `passed` is the overall verdict and `violations` lists the
-offending items in evaluation order. VerificationReport stores them as
-index and value arrays and writes its own to_dict, and its own JSON for
-dumps; the others share _FieldReport's to_dict. Every to_dict returns
-plain JSON data.
+offending items in evaluation order. Verification and condition reports
+keep those items as columns, one Violations each, which builds the
+records only when read and writes its own JSON for dumps. Every report's
+to_dict is _jsonable of its doc(), and returns plain JSON data.
 """
 from __future__ import annotations
 
@@ -18,8 +18,10 @@ import numpy as np
 
 
 def _jsonable(value):
-    if isinstance(value, VerificationReport):
+    if isinstance(value, _Report):
         return value.to_dict()
+    if isinstance(value, Violations):
+        return _jsonable(value.records())
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -41,12 +43,13 @@ def dumps(doc) -> str:
     """json.dumps(_jsonable(doc), indent=2), written in one walk.
 
     With indent set, json.dumps runs its pure-Python encoder, one call per
-    value. Here a VerificationReport writes its violation list from its
-    arrays, one %-template for every record, since D3 lists are the only
-    long lists the benchmark's commands print: 38,108 records on a
-    non-metric table at n = 300, against 93 in the longest condition
-    violation list. Every other value is walked and written as json.dumps
-    would write it.
+    value. Here a Violations writes its records from its columns, one
+    %-template for every record, since violation lists are the only long
+    lists the CLI prints: 38,108 D3 records on the benchmark's non-metric
+    table at n = 300, and 124,750 condition records for an --all-pairs
+    check of 500 points on a line under the identity map. A report is
+    written as its doc(); every other value is walked and written as
+    json.dumps would write it.
     """
     return _encode(doc, "\n")
 
@@ -72,23 +75,92 @@ def _encode(value, nl: str) -> str:
         inner = nl + "  "
         items = ("," + inner).join(_encode_str(k) + ": " + _encode(v, inner) for k, v in value.items())
         return "".join(("{", inner, items, nl, "}"))
-    if isinstance(value, VerificationReport):
+    if isinstance(value, Violations):
         return value._json(nl)
+    if isinstance(value, _Report):
+        return _encode(value.doc(), nl)
     # None, bools, non-finite floats, numpy scalars and anything else: a
     # scalar needs no indent, and what .item() returns is indented by json
     return json.dumps(_jsonable(value), indent=2).replace("\n", nl)
 
 
-class _FieldReport:
-    """Base of the reports whose to_dict writes each dataclass field, in
-    declaration order, through _jsonable."""
+class Violations:
+    """The failing items of a check, as columns in check order.
+
+    Each column is an array with one row per item. The `pair` column has
+    two entries per row, indices into labels: item k names the points
+    (labels[pair[k, 0]], labels[pair[k, 1]]). records() builds one dict
+    per item, keyed by the column names in order, only when called.
+    """
+
+    def __init__(self, labels: tuple = (), **columns):
+        self.labels = labels
+        self.columns = {name: np.asarray(c) for name, c in columns.items()}
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+    def records(self, count=None) -> list:
+        """The first count items (all when None) as dicts; a pair is a
+        tuple of labels and every other value a Python scalar."""
+        at = self.labels.__getitem__
+        cols = [[(at(a), at(b)) for a, b in c[:count].tolist()] if name == "pair" else c[:count].tolist()
+                for name, c in self.columns.items()]
+        return [dict(zip(self.columns, row)) for row in zip(*cols)]
+
+    def _json(self, nl: str) -> str:
+        """_jsonable(records()) as dumps writes it, its nested lines
+        starting with nl. The records come straight from the columns: one
+        record template, each label that a pair names encoded once and
+        gathered by index, each value column formatted in one pass."""
+        if not len(self):
+            return "[]"
+        item, key = nl + "  ", nl + "    "
+        slot = key + "  "
+        slots, cols = [], []
+        for name, c in self.columns.items():
+            if name == "pair":
+                lab = [None] * len(self.labels)
+                named = np.zeros(len(self.labels), dtype=bool)  # np.unique would import numpy.ma
+                named[c] = True
+                for k in np.flatnonzero(named).tolist():
+                    lab[k] = _encode(_jsonable(self.labels[k]), slot)
+                slots.append('"pair": [' + slot + "%s," + slot + "%s" + key + "]")
+                cols += (map(lab.__getitem__, c[:, 0].tolist()), map(lab.__getitem__, c[:, 1].tolist()))
+            else:
+                slots.append(_encode_str(name) + ": %s")
+                cols.append(_values(c, key))
+        record = "{" + key + ("," + key).join(slots) + item + "}"
+        # one join: each + would copy the long list again
+        return "".join(("[", item, ("," + item).join(map(record.__mod__, zip(*cols))), nl, "]"))
+
+
+def _values(column: np.ndarray, nl: str) -> list:
+    """Each value of a column as dumps writes it after _jsonable, nested
+    lines starting with nl: a float by its repr, and inf, -inf and nan
+    quoted, since _jsonable spells them as their reprs."""
+    values = column.tolist()
+    if column.dtype.kind != "f":  # an index column, or a generator's integers
+        return [_encode(v, nl) for v in values]
+    out = list(map(float.__repr__, values))
+    for k in np.flatnonzero(~np.isfinite(column)).tolist():
+        out[k] = '"' + out[k] + '"'
+    return out
+
+
+class _Report:
+    """Base of the reports: doc() holds each dataclass field in declaration
+    order, as dumps writes it, and to_dict() is _jsonable of doc()."""
+
+    def doc(self) -> dict:
+        return {f.metadata.get("key", f.name): getattr(self, f.name) for f in fields(self)}
 
     def to_dict(self) -> dict:
-        return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)}
+        return _jsonable(self.doc())
 
 
 @dataclass
-class PropertyReport(_FieldReport):
+class PropertyReport(_Report):
     """Outcome of a pointwise function-property check (F1, F2, altering)."""
 
     name: str
@@ -99,7 +171,7 @@ class PropertyReport(_FieldReport):
 
 
 @dataclass(frozen=True, eq=False)
-class VerificationReport:
+class VerificationReport(_Report):
     """Outcome of one distance-axiom check on a finite space.
 
     Violation k is the pair (labels[ii[k]], labels[jj[k]]), the observed
@@ -125,61 +197,18 @@ class VerificationReport:
 
     violations = property(head, doc="Every violation, as head() lists them, built when read.")
 
-    def to_dict(self) -> dict:
-        lab = [_jsonable(x) for x in self.labels] if self.ii.size else []
-        # of a float, _jsonable changes only inf and nan
-        lhs, rhs = (c.tolist() if np.isfinite(c).all() else _jsonable(c.tolist())
-                    for c in (self.lhs, self.rhs))
-        rows = zip(self.ii.tolist(), self.jj.tolist(), lhs, rhs)
-        return {
-            "axiom": self.axiom,
-            "passed": self.passed,
-            "violations": [{"pair": [lab[i], lab[j]], "lhs": a, "rhs": b} for i, j, a, b in rows],
-        }
-
-    def _json(self, nl: str) -> str:
-        """to_dict() as dumps writes it, its nested lines starting with nl.
-        The violations come straight from the arrays: one record template,
-        each label that a pair names encoded once and gathered by index,
-        each value column formatted in one pass."""
-        inner = nl + "  "
-        head = ("{" + inner + '"axiom": ' + _encode(self.axiom, inner)
-                + "," + inner + '"passed": ' + _encode(self.passed, inner)
-                + "," + inner + '"violations": ')
-        if self.passed:
-            return head + "[]" + nl + "}"
-        item, key = inner + "  ", inner + "    "
-        slot = key + "  "
-        lab = [None] * len(self.labels)
-        named = np.zeros(len(self.labels), dtype=bool)  # np.unique would import numpy.ma
-        named[self.ii] = named[self.jj] = True
-        for k in np.flatnonzero(named).tolist():
-            lab[k] = _encode(_jsonable(self.labels[k]), slot)
-        record = ("{" + key + '"pair": [' + slot + "%s," + slot + "%s" + key + "],"
-                  + key + '"lhs": %s,' + key + '"rhs": %s' + item + "}")
-        rows = zip(map(lab.__getitem__, self.ii.tolist()), map(lab.__getitem__, self.jj.tolist()),
-                   _values(self.lhs), _values(self.rhs))
-        # one join: each + would copy the long list again
-        return "".join((head, "[", item, ("," + item).join(map(record.__mod__, rows)), inner, "]", nl, "}"))
-
-
-def _values(column: np.ndarray) -> list:
-    """Each value of a numeric column as dumps writes it after _jsonable:
-    a float by its repr, and inf, -inf and nan quoted, since _jsonable
-    spells them as their reprs."""
-    values = column.tolist()
-    if column.dtype.kind != "f":  # a generator's integers, say
-        return [_encode(v, "") for v in values]
-    out = list(map(float.__repr__, values))
-    for k in np.flatnonzero(~np.isfinite(column)).tolist():
-        out[k] = '"' + out[k] + '"'
-    return out
+    def doc(self) -> dict:
+        pair = np.column_stack((self.ii, self.jj))
+        return {"axiom": self.axiom, "passed": self.passed,
+                "violations": Violations(self.labels, pair=pair, lhs=self.lhs, rhs=self.rhs)}
 
 
 @dataclass
-class ConditionReport(_FieldReport):
+class ConditionReport(_Report):
     """Outcome of a contraction-style condition check over a sample.
 
+    found holds the violations as columns: a pair, index, step or i, j
+    and eps column naming each failing item, then lhs and rhs as floats.
     margin_min is the smallest rhs - lhs seen (inf when nothing was
     evaluated, e.g. a vacuous trigger); source records where the sample
     came from so a run can be reproduced.
@@ -188,13 +217,18 @@ class ConditionReport(_FieldReport):
     condition: str
     passed: bool
     checked: int
-    violations: list = field(default_factory=list)
+    found: Violations = field(default_factory=Violations, metadata={"key": "violations"})
     margin_min: float = math.inf
     source: str = ""
 
+    @property
+    def violations(self) -> list:
+        """Every violation as a dict, found.records(), built when read."""
+        return self.found.records()
+
 
 @dataclass
-class SolveReport(_FieldReport):
+class SolveReport(_Report):
     """Outcome of a fixed-point iteration run."""
 
     status: str                      # converged | cycle_detected | budget_exhausted

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from fmetric import (
-    ConditionReport,
     DomainError,
     FiniteSpace,
     IterationTrace,
@@ -28,13 +27,15 @@ from fmetric import (
     shift_condition_check,
 )
 from fmetric.fspace import distance_table
+from fmetric.reports import _jsonable
 
 ID = lookup_function("id", "altering")
 PHIS = registered_altering()
 
 
 def _loop_shift(space, T, phi, x0, delta_rule, eps_grid, horizon):
-    """Reference: phi of each orbit pair on first use, a double loop per eps."""
+    """Reference: phi of each orbit pair on first use, a double loop per
+    eps; the dict the report's to_dict() must equal."""
     tr = orbit(space, T, x0, horizon + 1)
     memo = {}
 
@@ -60,16 +61,17 @@ def _loop_shift(space, T, phi, x0, delta_rule, eps_grid, horizon):
                     if succ > eps:
                         violations.append({"i": i, "j": j, "eps": eps, "lhs": succ, "rhs": eps})
         counts.append((eps, fired))
-    return ConditionReport(
-        condition=f"shift({phi.name})", passed=not violations, checked=checked,
-        violations=violations, margin_min=margin,
-        source=f"orbit(x0={x0!r}, horizon={horizon}); triggers per eps: "
+    return _jsonable({
+        "condition": f"shift({phi.name})", "passed": not violations, "checked": checked,
+        "violations": violations, "margin_min": margin,
+        "source": f"orbit(x0={x0!r}, horizon={horizon}); triggers per eps: "
         + ", ".join(f"{e:g}:{c}" for e, c in counts),
-    )
+    })
 
 
 def _loop_monotone(trace, phi):
-    """Reference: phi(s[k+1]) < phi(s[k]) step by step, up to the first zero step."""
+    """Reference: phi(s[k+1]) < phi(s[k]) step by step, up to the first
+    zero step; the dict the report's to_dict() must equal."""
     steps = trace.step_dist
     violations = []
     margin = math.inf
@@ -83,10 +85,10 @@ def _loop_monotone(trace, phi):
         margin = min(margin, rhs - lhs)
         if not (lhs < rhs):
             violations.append({"step": k, "lhs": lhs, "rhs": rhs})
-    return ConditionReport(
-        condition=f"monotone_step({phi.name})", passed=not violations, checked=checked,
-        violations=violations, margin_min=margin, source=f"trace of {len(trace)} points",
-    )
+    return _jsonable({
+        "condition": f"monotone_step({phi.name})", "passed": not violations, "checked": checked,
+        "violations": violations, "margin_min": margin, "source": f"trace of {len(trace)} points",
+    })
 
 
 def _loop_cauchy(trace, space, windows):
@@ -137,7 +139,7 @@ SPACES = ["interval-halving", "oscillating-orbit", "sequence-space", "rect-b", "
 
 
 def _same(got, want):
-    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    assert json.dumps(got.to_dict()) == json.dumps(want)
 
 
 @pytest.mark.parametrize("phi", PHIS, ids=[p.name for p in PHIS])
@@ -254,7 +256,7 @@ def test_shift_raises_for_a_negative_entry_no_trigger_reaches():
     space = FiniteSpace(space.labels, np.where(space.dist == -3.0, 1.0, space.dist))
     with pytest.raises(DomainError, match=r"got -1\.0$"):
         shift_condition_check(space, T, ID, 0, lambda e: e, [0.01], horizon=2)
-    assert _loop_shift(space, T, ID, 0, lambda e: e, [0.01], 2).checked == 0
+    assert _loop_shift(space, T, ID, 0, lambda e: e, [0.01], 2)["checked"] == 0
 
 
 def test_distance_table_matches_scalar_d():

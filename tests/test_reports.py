@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fmetric import cli
-from fmetric.reports import ConditionReport, PropertyReport, SolveReport, _jsonable, dumps
+from fmetric.reports import ConditionReport, PropertyReport, SolveReport, Violations, _jsonable, dumps
 
 
 def reference(doc) -> str:
@@ -99,6 +99,8 @@ SUBCOMMANDS = [
     (["solve", "--example", "interval-halving", "--x0", "0"], 0),
     (["check", "kannan", "--example", "oscillating-orbit", "--depth", "20", "--all-pairs"], 1),
     (["check", "shift", "--example", "interval-halving", "--x0", "1/3"], 0),
+    (["check", "shift", "--example", "sequence-space", "--x0", "1", "--eps-grid", "0.5,0.75,1.0",
+      "--horizon", "20"], 1),
     (["check", "edelstein", "--example", "interval-halving", "--pairs", "300", "--seed", "4"], 0),
     (["check", "orbital-kannan", "--example", "sequence-space", "--x0", "1"], 1),
     (["reproduce", "oscillating-orbit"], 0),
@@ -119,7 +121,11 @@ def test_structured_documents_of_every_subcommand(argv, code, capsys, monkeypatc
     assert len(docs) == 1
     assert list(docs[0])[:2] == ["command", "passed"]
     assert (docs[0]["command"], docs[0]["passed"]) == (argv[0], code == 0)
-    assert dumps(docs[0]) == capsys.readouterr().out.rstrip("\n")
+    out = capsys.readouterr().out
+    assert dumps(docs[0]) == out.rstrip("\n")
+    if argv[:2] == ["check", "shift"] and code:  # its i, j and eps columns
+        violations = json.loads(out)["violations"]
+        assert len(violations) == 400 and list(violations[0]) == ["i", "j", "eps", "lhs", "rhs"]
 
 
 def test_structured_verify_with_broken_axioms_and_string_labels(capsys, tmp_path, monkeypatch):
@@ -214,6 +220,57 @@ def test_a_verification_report_writes_the_bytes_of_its_to_dict():
     assert dumps({"axioms": reports}) == reference({"axioms": reports})
 
 
+# labels that need escaping or a %, and numpy scalars
+PAIR_LABELS = ('a"%s', "%%", "é", np.int64(7), np.float64(2.5))
+
+
+def _condition_reports():
+    from fmetric import (AlteringDistance, FiniteSpace, PairSample, edelstein_check,
+                         interval_halving, kannan_check, lookup_function, monotone_step_check,
+                         orbit, orbital_kannan_check, random_pairs, sequence_space,
+                         shift_condition_check)
+
+    n = len(PAIR_LABELS)
+    table = np.random.default_rng(5).uniform(0.1, 10.0, (n, n))
+    space = FiniteSpace(PAIR_LABELS, np.triu(table, 1) + np.triu(table, 1).T)
+    reverse = dict(zip(PAIR_LABELS, PAIR_LABELS[::-1])).__getitem__
+    sample = PairSample([(PAIR_LABELS[i], PAIR_LABELS[j]) for i in range(n) for j in range(n) if i != j],
+                        "hand-made")
+    ident = lookup_function("id", "altering")
+    # inf beyond distance 5 and nan beyond 8
+    wild = AlteringDistance("wild", lambda t: np.where(t > 8, np.nan, np.where(t > 5, np.inf, t)))
+    seq, halving = sequence_space(N=40), interval_halving()
+    return [
+        edelstein_check(space, reverse, ident, sample),
+        kannan_check(space, reverse, ident, sample),
+        edelstein_check(space, reverse, wild, sample),
+        # the orbit 1, 3, 9, ... passes 2**63 at step 40
+        orbital_kannan_check(seq.space, seq.map, ident, 1, 200),
+        monotone_step_check(orbit(seq.space, seq.map, 1, 60), ident),
+        shift_condition_check(seq.space, seq.map, seq.phi, 1, lambda e: e, [0.5, 0.75, 1.0], 20),
+        edelstein_check(halving.space, halving.map, lookup_function("square", "altering"),
+                        random_pairs(halving.space, 10, seed=7)),
+    ]
+
+
+def test_a_condition_report_writes_the_bytes_of_its_to_dict():
+    reports = _condition_reports()
+    kinds = [r.condition.split("(")[0] for r in reports]
+    assert kinds == ["edelstein", "kannan", "edelstein", "orbital_kannan", "monotone_step", "shift",
+                     "edelstein"]
+    assert [r.passed for r in reports] == [False] * 6 + [True]
+    # every label is named by some violation
+    assert set(reports[0].found.columns["pair"].ravel().tolist()) == set(range(len(PAIR_LABELS)))
+    wild = reports[2].found.columns
+    assert np.isinf(wild["lhs"]).any() and np.isnan(wild["lhs"]).any() and np.isinf(wild["rhs"]).any()
+    assert max(max(v["pair"]) for v in reports[3].violations) > 2 ** 63
+    for r in reports:
+        assert dumps(r) == reference(r.to_dict()) == reference(r)
+        assert dumps({"input": "x", **r.doc()}) == reference({"input": "x", **r.to_dict()})
+        assert dumps({"checks": [r]}) == reference({"checks": [r.to_dict()]})
+    assert dumps({"checks": reports}) == reference({"checks": reports})
+
+
 def test_structured_verify_with_many_violations_reads_back_as_written(capsys):
     code = cli.main(["verify", "--example", "oscillating-orbit", "--depth", "30", "--alpha", "0",
                      "--output", "structured"])
@@ -259,9 +316,11 @@ def test_field_wise_to_dict_equals_the_hand_written_dicts():
                        [{"level": 1, "t": (np.float64(0.5), inf), "f": (nan, -inf)}], "thresholds "),
         PropertyReport("F1(ln)", True, 400),
         ConditionReport("kannan(id)", False, 5,
-                        [{"pair": (np.int64(2), 2.5), "lhs": inf, "rhs": np.float64(1.5)},
-                         {"i": 0, "j": np.int64(3), "eps": 0.1, "lhs": nan, "rhs": 0.1}],
+                        Violations((np.int64(2), 2.5, 7), pair=[[0, 1], [2, 0]],
+                                   lhs=[inf, nan], rhs=[np.float64(1.5), 0.1]),
                         -inf, "random(seed=1, count=5)"),
+        ConditionReport("shift(id)", False, 2,
+                        Violations(i=[0], j=[np.int64(3)], eps=[0.1], lhs=[nan], rhs=[0.1]), 0.0),
         ConditionReport("edelstein(square)", True, 0),
         SolveReport("cycle_detected", 7, np.float64(0.25), nan, [(1, np.float64(2.0)), inf]),
         SolveReport("budget_exhausted", 3),
