@@ -146,10 +146,10 @@ def cmd_verify(args) -> tuple:
     for r in reports:
         extra = f" (f={witness.f.name}, alpha={_fmt(witness.alpha)})" if r.axiom == "D3" else ""
         print(f"{r.axiom} {names[r.axiom]}{extra}: {'pass' if r.passed else 'FAIL'}")
-        for (pair, lhs, rhs) in r.head(_SHOWN_VIOLATIONS):
-            print(f"  {_fmt(pair)}: lhs={_fmt(lhs)} rhs={_fmt(rhs)}")
-        if r.ii.size > _SHOWN_VIOLATIONS:
-            print(f"  ... and {r.ii.size - _SHOWN_VIOLATIONS} more")
+        for v in r.found.records(_SHOWN_VIOLATIONS):
+            print(f"  {_fmt(v['pair'])}: lhs={_fmt(v['lhs'])} rhs={_fmt(v['rhs'])}")
+        if len(r.found) > _SHOWN_VIOLATIONS:
+            print(f"  ... and {len(r.found) - _SHOWN_VIOLATIONS} more")
     if not axioms_ok:
         print("D3 chain inequality: skipped (identity or symmetry failed)")
     return passed, None

@@ -24,7 +24,7 @@ import numpy as np
 from ._kernels import minplus_closure
 from .errors import DomainError, SpaceAxiomError
 from .fclass import FGenerator
-from .reports import VerificationReport
+from .reports import VerificationReport, Violations
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +95,15 @@ class FiniteSpace:
         of it, since decimal input cannot always spell a stored float
         exactly; (None, False) when no label is numeric. A label counts as
         numeric only within the float range, so nan, infinite and huge
-        integer labels never match."""
+        integer labels never match.
+
+        A dict lookup finds an equal label at once: below 2**53 in size, a
+        value equals at most one label as a float. nan, larger values and a
+        non-numeric label the lookup finds (an np.int64, say) take the search.
+        """
+        at = self._index.get(value) if abs(value) < 2.0 ** 53 else None
+        if at is not None and isinstance(self.labels[at], (int, float)):
+            return self.labels[at], True
         best = min((lab for lab in self.labels
                     if isinstance(lab, (int, float)) and -sys.float_info.max <= lab <= sys.float_info.max),
                    key=lambda lab: abs(lab - value), default=None)
@@ -198,10 +206,16 @@ def check_identity_symmetry(space: FiniteSpace, margin: float = 0.0):
     sym_i, sym_j = np.nonzero(np.triu(np.abs(m - m.T) > margin, 1))
     if not id_i.size and not sym_i.size:
         space._axioms_hold.add(margin)
-    return [
-        VerificationReport("D1", space.labels, id_i, id_j, m[id_i, id_j], np.zeros(id_i.size)),
-        VerificationReport("D2", space.labels, sym_i, sym_j, m[sym_i, sym_j], m[sym_j, sym_i]),
-    ]
+    return [_axiom_report("D1", space, id_i, id_j, m[id_i, id_j], np.zeros(id_i.size)),
+            _axiom_report("D2", space, sym_i, sym_j, m[sym_i, sym_j], m[sym_j, sym_i])]
+
+
+def _axiom_report(axiom: str, space: FiniteSpace, i, j, lhs, rhs) -> VerificationReport:
+    """The report on an axiom failing at the pairs (labels[i[k]], labels[j[k]])
+    with sides lhs[k] and rhs[k], kept in their dtype: an integer-valued
+    generator writes integers."""
+    pair = np.column_stack((i, j))
+    return VerificationReport(axiom, not len(pair), Violations(space.labels, pair=pair, lhs=lhs, rhs=rhs))
 
 
 def _require_identity_symmetry(space: FiniteSpace, margin: float):
@@ -211,7 +225,8 @@ def _require_identity_symmetry(space: FiniteSpace, margin: float):
         return
     for r in check_identity_symmetry(space, margin):
         if not r.passed:
-            raise SpaceAxiomError(f"axiom {r.axiom} fails, first violation {r.head(1)[0]}")
+            first = tuple(r.found.records(1)[0].values())
+            raise SpaceAxiomError(f"axiom {r.axiom} fails, first violation {first}")
 
 
 def min_chain_sums(space: FiniteSpace, margin: float = 0.0) -> np.ndarray:
@@ -264,7 +279,7 @@ def verify_D3(space: FiniteSpace, w: Witness, margin: float = 0.0) -> Verificati
     ii, jj = np.nonzero(np.triu(worst > w.alpha + margin, 1))
     back = worst[ii, jj] != slack[ii, jj]
     ri, rj = np.where(back, jj, ii), np.where(back, ii, jj)
-    return VerificationReport("D3", space.labels, ii, jj, fd[ri, rj], fs[ri, rj] + w.alpha)
+    return _axiom_report("D3", space, ii, jj, fd[ri, rj], fs[ri, rj] + w.alpha)
 
 
 def min_alpha(space: FiniteSpace, f: FGenerator) -> float:

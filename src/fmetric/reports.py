@@ -1,10 +1,10 @@
 """Report dataclasses shared across the checking modules.
 
-Conventions: `passed` is the overall verdict and `violations` lists the
-offending items in evaluation order. Verification and condition reports
-keep those items as columns, one Violations each, which builds the
-records only when read and writes its own JSON for dumps. Every report's
-to_dict is _jsonable of its doc(), and returns plain JSON data.
+Conventions: `passed` is the overall verdict. Verification and condition
+reports keep their violations in check order as columns in one
+Violations, found, which counts them with len, builds them as dicts only
+when read (the report's `violations`) and writes its own JSON for dumps.
+Every report's to_dict is _jsonable of its doc(), plain JSON data.
 """
 from __future__ import annotations
 
@@ -170,41 +170,30 @@ class PropertyReport(_Report):
     note: str = ""
 
 
+class _FoundReport(_Report):
+    """Base of the reports that keep their violations in found."""
+
+    @property
+    def violations(self) -> list:
+        """Every violation as a dict, found.records(), built when read."""
+        return self.found.records()
+
+
 @dataclass(frozen=True, eq=False)
-class VerificationReport(_Report):
+class VerificationReport(_FoundReport):
     """Outcome of one distance-axiom check on a finite space.
 
-    Violation k is the pair (labels[ii[k]], labels[jj[k]]), the observed
-    value lhs[k] and the bound rhs[k] it had to satisfy, in check order.
+    found holds the violations in check order as columns: the pair, the
+    observed value lhs and the bound rhs it had to satisfy.
     """
 
     axiom: str
-    labels: tuple
-    ii: np.ndarray
-    jj: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-
-    @property
-    def passed(self) -> bool:
-        return self.ii.size == 0
-
-    def head(self, count=None) -> list:
-        """The first count violations (all when None) as
-        ((x_i, x_j), lhs, rhs) tuples of labels and floats."""
-        cols = (c[:count].tolist() for c in (self.ii, self.jj, self.lhs, self.rhs))
-        return [((self.labels[i], self.labels[j]), a, b) for i, j, a, b in zip(*cols)]
-
-    violations = property(head, doc="Every violation, as head() lists them, built when read.")
-
-    def doc(self) -> dict:
-        pair = np.column_stack((self.ii, self.jj))
-        return {"axiom": self.axiom, "passed": self.passed,
-                "violations": Violations(self.labels, pair=pair, lhs=self.lhs, rhs=self.rhs)}
+    passed: bool
+    found: Violations = field(default_factory=Violations, metadata={"key": "violations"})
 
 
 @dataclass
-class ConditionReport(_Report):
+class ConditionReport(_FoundReport):
     """Outcome of a contraction-style condition check over a sample.
 
     found holds the violations as columns: a pair, index, step or i, j
@@ -220,11 +209,6 @@ class ConditionReport(_Report):
     found: Violations = field(default_factory=Violations, metadata={"key": "violations"})
     margin_min: float = math.inf
     source: str = ""
-
-    @property
-    def violations(self) -> list:
-        """Every violation as a dict, found.records(), built when read."""
-        return self.found.records()
 
 
 @dataclass

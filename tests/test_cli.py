@@ -398,7 +398,7 @@ def _expected_listing(reports, f_name, alpha) -> str:
         lines.append(f"{r.axiom} {names[r.axiom]}{extra}: FAIL")
         viol = r.violations
         assert len(viol) > 5
-        lines += [f"  {_fmt(pair)}: lhs={_fmt(lhs)} rhs={_fmt(rhs)}" for pair, lhs, rhs in viol[:5]]
+        lines += [f"  {_fmt(v['pair'])}: lhs={_fmt(v['lhs'])} rhs={_fmt(v['rhs'])}" for v in viol[:5]]
         lines.append(f"  ... and {len(viol) - 5} more")
     return "\n".join(lines) + "\n"
 
@@ -520,6 +520,26 @@ def test_readme_examples_print_what_readme_shows(capsys, monkeypatch, command, s
         assert lines[:k] == head and lines[len(lines) - len(tail):] == tail
     elif shown:
         assert lines == shown
+
+
+def test_readme_python_api_block_prints_what_its_comment_shows():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```$", text, flags=re.M | re.S)
+    *body, last = block.rstrip("\n").split("\n")
+    expr, shown = last.split("  # ")
+    scope = {}
+    exec("\n".join(body), scope)
+    assert repr(eval(expr, scope)) == shown
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([[0, 1, 2], [2, 0, 1], [2, 1, 0]], "axiom D2 fails, first violation ((0, 1), 1.0, 2.0)"),
+    ([[0, 0, 1], [0, 0, 1], [1, 1, 0]], "axiom D1 fails, first violation ((0, 1), 0.0, 0.0)"),
+])
+def test_min_alpha_refuses_a_table_that_breaks_D1_or_D2(capsys, tmp_path, matrix, message):
+    p = tmp_path / "broken.json"
+    p.write_text(json.dumps({"points": [0, 1, 2], "matrix": matrix}))
+    assert run(capsys, "min-alpha", "--input", str(p)) == (2, "", f"error: {message}\n")
 
 
 def test_solve_never_lands_on_a_nan_label(capsys, tmp_path):

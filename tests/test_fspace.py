@@ -99,9 +99,9 @@ def test_identity_symmetry_reports():
     ])
     d1, d2 = check_identity_symmetry(FiniteSpace(labels=(0, 1, 2), dist=m))
     assert d1.axiom == "D1" and not d1.passed
-    assert ((2, 2), 0.1, 0.0) in d1.violations
+    assert {"pair": (2, 2), "lhs": 0.1, "rhs": 0.0} in d1.violations
     assert d2.axiom == "D2" and not d2.passed
-    assert d2.violations[0][0] == (0, 1)
+    assert d2.violations[0]["pair"] == (0, 1)
     # margin loosens both
     d1m, d2m = check_identity_symmetry(FiniteSpace(labels=(0, 1, 2), dist=m), margin=0.6)
     assert d1m.passed and d2m.passed
@@ -140,7 +140,7 @@ def test_verify_D3_agrees_with_exhaustive_slack():
                     slack = math.log(space.dist[i, j]) - math.log(oracle[i, j])
                     if slack > alpha:
                         expected.append((space.labels[i], space.labels[j]))
-            assert [v[0] for v in rep.violations] == expected, f"seed {seed} alpha {alpha}"
+            assert [v["pair"] for v in rep.violations] == expected, f"seed {seed} alpha {alpha}"
             assert rep.passed == (not expected)
 
 
@@ -202,6 +202,36 @@ def test_nearest_label_never_matches_an_infinite_value(labels):
     space = FiniteSpace(labels=labels, dist=np.array([[0, 1], [1, 0.0]]))
     assert space.nearest_label(math.inf) == (0, False)
     assert space.nearest_label(math.nan) == (0, False)
+
+
+def _searched_label(labels, value):
+    """nearest_label by a linear search alone: the nearest numeric label
+    within the float range, the first one on a tie."""
+    numeric = [lab for lab in labels if isinstance(lab, (int, float)) and abs(lab) <= 1.7976931348623157e308]
+    best = min(numeric, key=lambda lab: abs(lab - value), default=None)
+    return best, best is not None and abs(best - value) <= 1e-9
+
+
+@pytest.mark.parametrize("labels, value", [
+    ((0, 1, 2.5), 1.0),  # an int label found by a float value
+    ((0, 1, 2.5), 2.5),
+    ((0, True, 2), 1.0),  # a bool counts as an int, as in the search
+    ((np.int64(1), 2.5), 1.0),  # equal and hashed alike, but not numeric
+    ((np.int64(1), "x"), 1.0),
+    ((np.float64(1.0), 3), 1.0),  # a float subclass is numeric
+    ((math.inf, 0), 1e308),  # an infinite label never matches
+    ((-math.inf, 5), -math.inf),
+    ((math.nan, 1, 2.5), math.nan),  # a nan value never matches
+    ((10 ** 400, 1), 1.0),
+    ((2 ** 53 + 1, 2 ** 53), 2.0 ** 53),  # both at distance 0 as floats: the first wins
+    ((0, 1), 1.0 + 1e-12),  # within 1e-9 but not equal
+    (("a", 1.0, 2), 1),  # an int value finds a float label
+])
+def test_nearest_label_by_lookup_agrees_with_the_search(labels, value):
+    n = len(labels)
+    space = FiniteSpace(labels=labels, dist=np.ones((n, n)) - np.eye(n))
+    got, want = space.nearest_label(value), _searched_label(labels, value)
+    assert got == want and type(got[0]) is type(want[0])
 
 
 def test_witness_rejects_negative_alpha():
@@ -472,15 +502,16 @@ def test_analytic_space_membership_and_points():
 
 
 def _loop_identity_symmetry(space, margin):
-    """Entry-by-entry reference for check_identity_symmetry."""
+    """Entry-by-entry reference for check_identity_symmetry's records."""
     m, n, lab = space.dist, space.n, space.labels
-    id_viol = [((lab[i], lab[i]), float(m[i, i]), 0.0) for i in range(n) if abs(m[i, i]) > margin]
+    id_viol = [{"pair": (lab[i], lab[i]), "lhs": float(m[i, i]), "rhs": 0.0}
+               for i in range(n) if abs(m[i, i]) > margin]
     id_viol += [
-        ((lab[i], lab[j]), float(m[i, j]), 0.0)
+        {"pair": (lab[i], lab[j]), "lhs": float(m[i, j]), "rhs": 0.0}
         for i in range(n) for j in range(n) if i != j and m[i, j] <= margin
     ]
     sym_viol = [
-        ((lab[i], lab[j]), float(m[i, j]), float(m[j, i]))
+        {"pair": (lab[i], lab[j]), "lhs": float(m[i, j]), "rhs": float(m[j, i])}
         for i in range(n) for j in range(i + 1, n) if abs(m[i, j] - m[j, i]) > margin
     ]
     return id_viol, sym_viol
@@ -501,7 +532,7 @@ def test_identity_symmetry_matches_loop_reference_in_order(margin):
 
 
 def _loop_verify_D3(space, w, margin):
-    """Pair-by-pair reference for verify_D3's violation list: f evaluated
+    """Pair-by-pair reference for verify_D3's violation records: f evaluated
     on one distance and one minimal chain sum at a time, each pair i < j
     decided on the direction of its larger slack, i to j on a tie."""
     sp = min_chain_sums(space, margin)
@@ -517,7 +548,7 @@ def _loop_verify_D3(space, w, margin):
                 continue
             slack, lhs, rhs = max(sides, key=lambda side: side[0])
             if slack > w.alpha + margin:
-                violations.append(((space.labels[i], space.labels[j]), lhs, rhs))
+                violations.append({"pair": (space.labels[i], space.labels[j]), "lhs": lhs, "rhs": rhs})
     return violations
 
 
@@ -561,7 +592,8 @@ def test_verify_D3_matches_pair_loop_reference(name, margin_share):
     want = _loop_verify_D3(space, w, margin)
     assert rep.violations == want
     assert rep.passed == (not want)
-    for (_, lhs, rhs), (_, lhs_w, rhs_w) in zip(rep.violations, want):
+    for got, ref in zip(rep.violations, want):
+        (lhs, rhs), (lhs_w, rhs_w) = (got["lhs"], got["rhs"]), (ref["lhs"], ref["rhs"])
         assert type(lhs) is float and type(rhs) is float
         assert (lhs, rhs) == (lhs_w, rhs_w)
         assert np.float64(lhs).tobytes() == np.float64(lhs_w).tobytes()

@@ -139,13 +139,13 @@ def test_structured_verify_with_broken_axioms_and_string_labels(capsys, tmp_path
 
 
 def _parent_to_dict(report) -> dict:
-    """The dict built violation by violation from the per-pair view."""
+    """The dict built violation by violation from the records."""
     return {
         "axiom": report.axiom,
         "passed": report.passed,
         "violations": [
-            {"pair": _jsonable(list(pair)), "lhs": _jsonable(lhs), "rhs": _jsonable(rhs)}
-            for pair, lhs, rhs in report.violations
+            {"pair": _jsonable(list(v["pair"])), "lhs": _jsonable(v["lhs"]), "rhs": _jsonable(v["rhs"])}
+            for v in report.violations
         ],
     }
 
@@ -179,7 +179,7 @@ def test_verification_to_dict_equals_the_per_violation_construction():
     reports = _verification_reports()
     assert [r.axiom for r in reports] == ["D1", "D2", "D3", "D1", "D2", "D3"]
     assert [r.passed for r in reports] == [False, False, False, True, True, False]
-    assert reports[-1].violations == [((float("inf"), "b"), -1.0, float("-inf"))]
+    assert reports[-1].violations == [{"pair": (float("inf"), "b"), "lhs": -1.0, "rhs": float("-inf")}]
     for r in reports:
         got, want = r.to_dict(), _parent_to_dict(r)
         assert got == want
@@ -211,9 +211,9 @@ def test_a_verification_report_writes_the_bytes_of_its_to_dict():
     reports = _written_reports()
     ln_fails, floor_fails, ln_passes = reports[:3]
     # every label is named by some violation
-    assert set(ln_fails.ii) | set(ln_fails.jj) == set(range(len(ESCAPED_LABELS)))
-    assert floor_fails.lhs.dtype.kind == "i" and floor_fails.ii.size and ln_passes.passed
-    assert float("-inf") in reports[-1].rhs
+    assert set(ln_fails.found.columns["pair"].ravel().tolist()) == set(range(len(ESCAPED_LABELS)))
+    assert floor_fails.found.columns["lhs"].dtype.kind == "i" and len(floor_fails.found) and ln_passes.passed
+    assert float("-inf") in reports[-1].found.columns["rhs"]
     for r in reports:
         assert dumps(r) == reference(r.to_dict()) == reference(r)
         assert dumps({"axioms": [r]}) == reference({"axioms": [r.to_dict()]})
