@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -530,6 +531,23 @@ def test_readme_python_api_block_prints_what_its_comment_shows():
     scope = {}
     exec("\n".join(body), scope)
     assert repr(eval(expr, scope)) == shown
+
+
+def test_star_import_binds_every_public_name_and_no_module():
+    scope = {}
+    exec("from fmetric import *", scope)
+    del scope["__builtins__"]
+    assert not [name for name, value in scope.items() if isinstance(value, ModuleType)]
+    assert {"random_pairs", "shift_condition_check"} <= scope.keys()
+    public = {n for n, v in vars(fmetric).items() if not (n.startswith("_") or isinstance(v, ModuleType))}
+    assert scope.keys() == public
+    assert fmetric.__all__ == sorted(set(fmetric.__all__))
+    # every function and class that README's Python API section names
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    named = {word for word in re.findall(r"\w+", section) if callable(getattr(fmetric, word, None))}
+    assert {"verify_D3", "shift_condition_check", "hausdorff_witness", "VerificationReport"} <= named
+    assert named <= scope.keys()
 
 
 @pytest.mark.parametrize("matrix, message", [

@@ -12,8 +12,19 @@ phi(d(u, v)) < 0 (Kannan) or phi(d(u, v)) < phi(d(u, v)) (Edelstein).
 Sequence-space is the infinite case: there the strict Kannan inequality
 holds on every sampled pair and there is no fixed point, because the
 theorem needs a constant lambda < 1/2, not the strict inequality alone.
+
+D3 with f = ln at alpha bounds the Hausdorff separation: every pair's
+least n from hausdorff_witness is at most ceil(e^alpha). Its balls have
+radius r = d/(2n), d = d(x, y), so a point z in both would give
+d(x, z) + d(z, y) < 2r = d/n, and D3 on the chain x, z, y gives
+d <= e^alpha (d(x, z) + d(z, y)) < e^alpha d/n, impossible once
+n >= e^alpha. At alpha = min_alpha(space, ln) D3 holds, so the bound does.
+
 A counterexample here is a defect in one of the layers involved.
 """
+import math
+from itertools import combinations
+
 import numpy as np
 
 from fmetric import (
@@ -22,12 +33,19 @@ from fmetric import (
     all_pairs,
     edelstein_check,
     fixed_point_scan,
+    hausdorff_witness,
     kannan_check,
     lookup_function,
+    min_alpha,
+    oscillating_orbit_space,
     picard,
+    random_fspace,
+    random_metric,
+    rect_b_family,
 )
 
 ID = lookup_function("id", "altering")
+LN = lookup_function("ln", "generator")
 
 
 def _random_instances(seed, count):
@@ -54,3 +72,18 @@ def test_strict_contraction_on_all_pairs_gives_one_fixed_point_reached_by_picard
             rep = picard(space, T, x0, tol=1e-12, max_iter=space.n)
             assert rep.status == STATUS_CONVERGED and rep.fixed_point == fixed[0], (x0, rep)
     assert qualified >= 50  # the implication was exercised, not vacuous
+
+
+def test_d3_at_min_alpha_bounds_every_hausdorff_separation_by_ceil_exp_alpha():
+    spaces = [random_fspace(seed, size, LN)[0] for seed in range(20) for size in (5, 12, 25)]
+    spaces += [rect_b_family(n) for n in (2, 5, 10, 40)]
+    spaces.append(oscillating_orbit_space(30).space)
+    spaces += [random_metric(seed, 20) for seed in range(5)]
+    worst = 0.0
+    for space in spaces:
+        bound = math.ceil(math.exp(min_alpha(space, LN)))
+        for x, y in combinations(space.labels, 2):
+            n, _ = hausdorff_witness(space, x, y)
+            assert n <= bound, (space.labels, x, y, n, bound)
+            worst = max(worst, n / bound)
+    assert worst == 1.0  # some pair needs the whole bound: it is exercised, not vacuous
