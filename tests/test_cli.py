@@ -490,8 +490,10 @@ def test_min_alpha_takes_its_generator_as_verify_does(capsys, tmp_path):
         0, "D1 identity: pass\nD2 symmetry: pass\nD3 chain inequality (f=neg_inv, alpha=0.6): pass\n")
     assert run(capsys, "min-alpha", "--input", str(p), "--f", "ln")[:2] == (0, "0.9162907319\n")
     no_witness = tmp_path / "m.csv"
-    no_witness.write_text("a,b,c\n0,1,5\n1,0,1\n5,1,0\n")
-    assert run(capsys, "min-alpha", "--input", str(no_witness))[:2] == (0, "0.9162907319\n")
+    # the same table with quoted cells, which are read one by one, not in bulk
+    for text in ("a,b,c\n0,1,5\n1,0,1\n5,1,0\n", '"a","b","c"\n0,"1",5\n1,0,"1"\n5,1,0\n'):
+        no_witness.write_text(text)
+        assert run(capsys, "min-alpha", "--input", str(no_witness))[:2] == (0, "0.9162907319\n")
 
 
 def _readme_examples():
@@ -680,12 +682,14 @@ def test_verify_witness_alpha_too_large_for_a_float_exit_2(capsys, tmp_path, ext
 
 
 def test_unknown_function_name_prints_without_quotes(capsys, tmp_path):
-    # id fails (F2), so it is no generator either
-    for name in ("foo", "id"):
-        message = f"no generator named '{name}'; registered: ['ln', 'neg_inv']"
-        assert run(capsys, "min-alpha", "--example", "rect-b", "--f", name) == (2, "", f"error: {message}\n")
+    # id fails (F2), so it is no generator either; a file's list is no name at all
+    for name in ("foo", "id", ["ln"]):
+        message = f"no generator named {name!r}; registered: ['ln', 'neg_inv']"
+        if isinstance(name, str):
+            assert run(capsys, "min-alpha", "--example", "rect-b", "--f", name) == (2, "", f"error: {message}\n")
         p = tmp_path / "w.json"
-        p.write_text('{"points": ["a", "b"], "matrix": [[0, 1], [1, 0]], "witness": {"f": "%s", "alpha": 1}}' % name)
+        p.write_text(json.dumps({"points": ["a", "b"], "matrix": [[0, 1], [1, 0]],
+                                 "witness": {"f": name, "alpha": 1}}))
         assert run(capsys, "verify", "--input", str(p)) == (2, "", f"error: {p}: {message}\n")
 
 
@@ -862,6 +866,13 @@ def test_verify_reads_a_json_file_behind_a_byte_order_mark(capsys, tmp_path):
     assert "D3 chain inequality (f=ln, alpha=0): pass" in out
 
 
+def test_a_csv_cell_past_the_csv_field_limit_exit_2(capsys, tmp_path):
+    p = tmp_path / "huge-field.csv"
+    p.write_text('a,b\n0,"' + "0" * 200_000 + '"\n1,0\n')
+    assert run(capsys, "verify", "--input", str(p)) == (
+        2, "", f"error: {p}: row 1: field larger than field limit (131072)\n")
+
+
 def test_a_closed_stdout_exits_141_with_nothing_on_stderr():
     # 173 KB of output outgrows the 64 KiB pipe buffer, so the write after
     # the reader has gone raises BrokenPipeError
@@ -880,7 +891,8 @@ def test_a_closed_stdout_exits_141_with_nothing_on_stderr():
 
 
 def _python(*args):
-    """A fresh interpreter run with args, fmetric imported from this tree."""
+    """A fresh interpreter run with args, fmetric imported from where this
+    process imports it."""
     src = str(Path(fmetric.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=60)

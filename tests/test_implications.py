@@ -20,6 +20,9 @@ d(x, z) + d(z, y) < 2r = d/n, and D3 on the chain x, z, y gives
 d <= e^alpha (d(x, z) + d(z, y)) < e^alpha d/n, impossible once
 n >= e^alpha. At alpha = min_alpha(space, ln) D3 holds, so the bound does.
 
+min_alpha is the least alpha verify_D3 passes: D3 holds at it and fails at
+the next float below it, unless it is 0, for ln and neg_inv alike.
+
 A counterexample here is a defect in one of the layers involved.
 """
 import math
@@ -30,6 +33,7 @@ import numpy as np
 from fmetric import (
     STATUS_CONVERGED,
     FiniteSpace,
+    Witness,
     all_pairs,
     edelstein_check,
     fixed_point_scan,
@@ -42,10 +46,12 @@ from fmetric import (
     random_fspace,
     random_metric,
     rect_b_family,
+    verify_D3,
 )
 
 ID = lookup_function("id", "altering")
 LN = lookup_function("ln", "generator")
+NEG_INV = lookup_function("neg_inv", "generator")
 
 
 def _random_instances(seed, count):
@@ -74,16 +80,35 @@ def test_strict_contraction_on_all_pairs_gives_one_fixed_point_reached_by_picard
     assert qualified >= 50  # the implication was exercised, not vacuous
 
 
-def test_d3_at_min_alpha_bounds_every_hausdorff_separation_by_ceil_exp_alpha():
+def _d3_spaces():
+    """Random tables far from the triangle inequality, rect-b, the orbit
+    and Euclidean metrics."""
     spaces = [random_fspace(seed, size, LN)[0] for seed in range(20) for size in (5, 12, 25)]
     spaces += [rect_b_family(n) for n in (2, 5, 10, 40)]
     spaces.append(oscillating_orbit_space(30).space)
     spaces += [random_metric(seed, 20) for seed in range(5)]
+    return spaces
+
+
+def test_d3_at_min_alpha_bounds_every_hausdorff_separation_by_ceil_exp_alpha():
     worst = 0.0
-    for space in spaces:
+    for space in _d3_spaces():
         bound = math.ceil(math.exp(min_alpha(space, LN)))
         for x, y in combinations(space.labels, 2):
             n, _ = hausdorff_witness(space, x, y)
             assert n <= bound, (space.labels, x, y, n, bound)
             worst = max(worst, n / bound)
     assert worst == 1.0  # some pair needs the whole bound: it is exercised, not vacuous
+
+
+def test_d3_passes_at_min_alpha_and_fails_one_float_below():
+    alphas = []
+    for space in _d3_spaces():
+        for f in (LN, NEG_INV):
+            alpha = min_alpha(space, f)
+            alphas.append(alpha)
+            assert verify_D3(space, Witness(f, alpha)).passed, (space.labels, f.name, alpha)
+            if alpha > 0.0:
+                below = Witness(f, float(np.nextafter(alpha, 0.0)))
+                assert not verify_D3(space, below).passed, (space.labels, f.name, alpha)
+    assert 0.0 in alphas and max(alphas) > 0.0  # both sides of the rule are exercised

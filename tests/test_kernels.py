@@ -167,6 +167,57 @@ def test_closure_bitwise_equal_to_jacobi_reference_on_fuzzed_tables():
         assert _kernels.minplus_closure(dist).tobytes() == jacobi_closure(dist).tobytes(), (t, n)
 
 
+def certifies_closure(dist: np.ndarray, rho: np.ndarray) -> bool:
+    """Whether rho is the closure of dist, checked without running one.
+
+    Rounded addition is monotone, so rho lies below every left-to-right
+    chain sum if rho <= dist and rho[i, j] <= fl(rho[i, k] + dist[k, j]) for
+    all i, k and j. Every chain-lowered entry also needs a parent k with
+    fl(rho[i, k] + dist[k, j]) == rho[i, j] and rho[i, k] < rho[i, j]; the
+    strictly smaller value rules out k = j and cycles among the parents, so
+    each entry is a chain sum, and by the bound the least one.
+    """
+    if not (rho <= dist).all():
+        return False
+    for i in range(dist.shape[0]):
+        sums = rho[i, :, None] + dist  # sums[k, j] = fl(rho[i, k] + dist[k, j])
+        if (sums < rho[i]).any():
+            return False
+        lowered = rho[i] < dist[i]
+        target = rho[i, lowered]
+        parents = (sums[:, lowered] == target) & (rho[i, :, None] < target)
+        if not parents.any(axis=0).all():
+            return False
+    return True
+
+
+CERTIFIED_TABLES = {
+    # jacobi_closure takes about 12 s on this one
+    "oscillating-orbit-446": lambda: oscillating_orbit_space(depth=222).space.dist,
+    "non-metric-300": lambda: random_symmetric(8, 300),
+    "euclidean-400": lambda: random_metric(1, 400).dist,
+    "permuted-collinear-200": lambda: permuted(collinear(5, 200), 6),
+}
+
+
+@pytest.mark.parametrize("name", CERTIFIED_TABLES)
+def test_closure_passes_the_certificate_on_large_tables(name):
+    dist = CERTIFIED_TABLES[name]()
+    assert certifies_closure(dist, _kernels.minplus_closure(dist))
+
+
+def test_certificate_rejects_a_closure_one_ulp_off_or_all_zero():
+    dist = random_symmetric(3, 60)
+    rho = _kernels.minplus_closure(dist)
+    assert certifies_closure(dist, rho)
+    i, j = np.argwhere(rho < dist)[0]  # an entry a chain lowered
+    for towards in (-np.inf, np.inf):
+        off = rho.copy()
+        off[i, j] = np.nextafter(off[i, j], towards)
+        assert not certifies_closure(dist, off)
+    assert not certifies_closure(dist, np.zeros_like(rho))
+
+
 def relaxed_rows(monkeypatch, dist: np.ndarray) -> list:
     """The number of rows each sweep of the closure relaxes."""
     calls = []
