@@ -40,8 +40,6 @@ _SHOWN_VIOLATIONS = 5
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
-    if isinstance(value, int):
-        return str(int(value))
     if isinstance(value, float):
         return f"{float(value):.10g}"
     if isinstance(value, (tuple, list)):
@@ -122,9 +120,18 @@ def _resolve_witness(args, file_witness) -> Witness:
     return Witness(f, float(alpha))
 
 
-# Each cmd_* returns (passed, body). In structured mode body holds the
-# document's fields after "command" and "passed", which main adds; in
-# text mode the command prints its text form and returns no body.
+def _found_lines(found, line) -> list:
+    """The first violations in found, one line(v) each, then a line
+    counting the rest: the listing verify and check print."""
+    lines = [line(v) for v in found.records(_SHOWN_VIOLATIONS)]
+    if len(found) > _SHOWN_VIOLATIONS:
+        lines.append(f"  ... and {len(found) - _SHOWN_VIOLATIONS} more")
+    return lines
+
+
+# Each cmd_* returns (passed, doc, lines): doc holds the structured
+# document's fields after "command" and "passed", which main adds, and
+# lines the text form. main writes one of the two, as --output asks.
 
 def cmd_verify(args) -> tuple:
     ex = _load_input(args)
@@ -135,24 +142,17 @@ def cmd_verify(args) -> tuple:
     if axioms_ok:
         reports.append(_verify_D3(space, witness, margin=args.margin))
     passed = all(r.passed for r in reports)
-    if args.output == "structured":
-        return passed, {
-            "input": ex.id,
-            "f": witness.f.name,
-            "alpha": witness.alpha,
-            "axioms": reports,
-        }
     names = {"D1": "identity", "D2": "symmetry", "D3": "chain inequality"}
+    lines = []
     for r in reports:
         extra = f" (f={witness.f.name}, alpha={_fmt(witness.alpha)})" if r.axiom == "D3" else ""
-        print(f"{r.axiom} {names[r.axiom]}{extra}: {'pass' if r.passed else 'FAIL'}")
-        for v in r.found.records(_SHOWN_VIOLATIONS):
-            print(f"  {_fmt(v['pair'])}: lhs={_fmt(v['lhs'])} rhs={_fmt(v['rhs'])}")
-        if len(r.found) > _SHOWN_VIOLATIONS:
-            print(f"  ... and {len(r.found) - _SHOWN_VIOLATIONS} more")
+        lines.append(f"{r.axiom} {names[r.axiom]}{extra}: {'pass' if r.passed else 'FAIL'}")
+        lines += _found_lines(
+            r.found, lambda v: f"  {_fmt(v['pair'])}: lhs={_fmt(v['lhs'])} rhs={_fmt(v['rhs'])}")
     if not axioms_ok:
-        print("D3 chain inequality: skipped (identity or symmetry failed)")
-    return passed, None
+        lines.append("D3 chain inequality: skipped (identity or symmetry failed)")
+    doc = {"input": ex.id, "f": witness.f.name, "alpha": witness.alpha, "axioms": reports}
+    return passed, doc, lines
 
 
 def cmd_min_alpha(args) -> tuple:
@@ -160,10 +160,7 @@ def cmd_min_alpha(args) -> tuple:
     space = _materialize(ex.space)
     f = _generator(args, ex.witness)
     value = min_alpha(space, f)
-    if args.output == "structured":
-        return True, {"input": ex.id, "f": f.name, "min_alpha": value}
-    print(_fmt(value))
-    return True, None
+    return True, {"input": ex.id, "f": f.name, "min_alpha": value}, [_fmt(value)]
 
 
 def cmd_solve(args) -> tuple:
@@ -172,18 +169,9 @@ def cmd_solve(args) -> tuple:
         raise DomainError(f"{ex.id} carries no map; solve needs one")
     x0 = _parse_point(args.x0, ex.space)
     rep = solver.picard(ex.space, ex.map, x0, tol=args.tol, max_iter=args.max_iter)
-    passed = rep.status == solver.STATUS_CONVERGED
-    if args.output == "structured":
-        return passed, {"input": ex.id, **rep.to_dict()}
-    print(f"status: {rep.status}")
-    print(f"iterations: {rep.iterations}")
-    if rep.fixed_point is not None:
-        print(f"fixed_point: {_fmt(rep.fixed_point)}")
-    if rep.residual is not None:
-        print(f"residual: {_fmt(rep.residual)}")
-    if rep.cycle:
-        print(f"cycle: {_fmt(tuple(rep.cycle))}")
-    return passed, None
+    doc = rep.doc()
+    lines = [f"{key}: {_fmt(value)}" for key, value in doc.items() if value is not None]
+    return rep.status == solver.STATUS_CONVERGED, {"input": ex.id, **doc}, lines
 
 
 def _make_sample(args, space) -> conditions.PairSample:
@@ -218,36 +206,32 @@ def cmd_check(args) -> tuple:
             eps_grid=args.eps_grid,
             horizon=args.horizon,
         )
-    if args.output == "structured":
-        return rep.passed, {"input": ex.id, **rep.doc()}
-    print(f"condition: {rep.condition}")
-    print(f"sample: {rep.source}")
-    print(f"checked: {rep.checked}")
-    print(f"margin_min: {_fmt(rep.margin_min)}")
-    print(f"passed: {_fmt(rep.passed)}")
-    for v in rep.found.records(_SHOWN_VIOLATIONS):
-        print("  " + " ".join(f"{k}={_fmt(val)}" for k, val in v.items()))
-    if len(rep.found) > _SHOWN_VIOLATIONS:
-        print(f"  ... and {len(rep.found) - _SHOWN_VIOLATIONS} more")
-    return rep.passed, None
+    lines = [
+        f"condition: {rep.condition}",
+        f"sample: {rep.source}",
+        f"checked: {rep.checked}",
+        f"margin_min: {_fmt(rep.margin_min)}",
+        f"passed: {_fmt(rep.passed)}",
+    ]
+    lines += _found_lines(rep.found, lambda v: "  " + " ".join(f"{k}={_fmt(val)}" for k, val in v.items()))
+    return rep.passed, {"input": ex.id, **rep.doc()}, lines
 
 
 def cmd_reproduce(args) -> tuple:
     rows = corpus.reproduce(args.example_id)
-    passed = all(ok for _, ok, _ in rows)
-    if args.output == "structured":
-        return passed, {
-            "example": args.example_id,
-            "checks": [{"name": n, "passed": ok, "detail": d} for n, ok, d in rows],
-        }
+    lines = []
     for name, ok, detail in rows:
         line = f"{'PASS' if ok else 'FAIL'}  {name}"
         if detail:
             line += f"  ({detail})"
-        print(line)
+        lines.append(line)
     done = sum(1 for _, ok, _ in rows if ok)
-    print(f"{done}/{len(rows)} expectations hold")
-    return passed, None
+    lines.append(f"{done}/{len(rows)} expectations hold")
+    doc = {
+        "example": args.example_id,
+        "checks": [{"name": n, "passed": ok, "detail": d} for n, ok, d in rows],
+    }
+    return done == len(rows), doc, lines
 
 
 def cmd_profile_alpha(args) -> tuple:
@@ -255,11 +239,7 @@ def cmd_profile_alpha(args) -> tuple:
         raise DomainError(f"bad range {args.from_n}..{args.to_n} (need 2 <= from <= to)")
     f = lookup_function(args.f, "generator")
     rows = alpha_divergence_profile(corpus.rect_b_family, f, (args.from_n, args.to_n))
-    if args.output == "structured":
-        return True, {"f": f.name, "rows": rows}
-    for n, a in rows:
-        print(f"{n} {_fmt(a)}")
-    return True, None
+    return True, {"f": f.name, "rows": rows}, [f"{n} {_fmt(a)}" for n, a in rows]
 
 
 def _add_input_group(p: argparse.ArgumentParser) -> None:
@@ -361,9 +341,11 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         with np.errstate(all="ignore"):  # an overflow or nan shows in the output, not as a warning
-            passed, body = args.fn(args)
+            passed, doc, lines = args.fn(args)
         if args.output == "structured":
-            _emit_json({"command": args.command, "passed": passed, **body})
+            _emit_json({"command": args.command, "passed": passed, **doc})
+        else:
+            sys.stdout.writelines(line + "\n" for line in lines)
         sys.stdout.flush()  # a closed pipe raises here, not in the exit flush
     except BrokenPipeError:  # the reader closed stdout, say `| head`
         # what is still buffered goes to devnull, so the exit flush cannot raise

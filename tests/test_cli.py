@@ -873,21 +873,30 @@ def test_a_csv_cell_past_the_csv_field_limit_exit_2(capsys, tmp_path):
         2, "", f"error: {p}: row 1: field larger than field limit (131072)\n")
 
 
+def _closed_after_one_byte(*argv):
+    """The first byte the module entry point writes, then its exit code and
+    stderr once the reader has closed stdout after reading that byte."""
+    src = str(Path(fmetric.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "fmetric.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.read(1)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    return first, proc.wait(timeout=60), err
+
+
 def test_a_closed_stdout_exits_141_with_nothing_on_stderr():
     # 173 KB of output outgrows the 64 KiB pipe buffer, so the write after
     # the reader has gone raises BrokenPipeError
-    src = str(Path(fmetric.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "fmetric.cli", "verify", "--example", "oscillating-orbit",
-         "--depth", "30", "--alpha", "0", "--output", "structured"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert proc.stdout.read(1) == b"{"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 141
-    assert err == b""
+    assert _closed_after_one_byte(
+        "verify", "--example", "oscillating-orbit", "--depth", "30", "--alpha", "0", "--output", "structured",
+    ) == (b"{", 141, b"")
+
+
+def test_a_closed_stdout_in_text_mode_exits_141_with_nothing_on_stderr():
+    # 75 KB of text lines, which main writes after the command has returned
+    assert _closed_after_one_byte("profile-alpha", "--from", "2", "--to", "4500") == (b"2", 141, b"")
 
 
 def _python(*args):

@@ -23,6 +23,10 @@ n >= e^alpha. At alpha = min_alpha(space, ln) D3 holds, so the bound does.
 min_alpha is the least alpha verify_D3 passes: D3 holds at it and fails at
 the next float below it, unless it is 0, for ln and neg_inv alike.
 
+min_chain_sums is the closure of the table: the certificate of
+test_kernels.certifies_closure (a lower bound and a parent for every
+chain-lowered entry) accepts it on every table drawn here.
+
 A counterexample here is a defect in one of the layers involved.
 """
 import math
@@ -41,6 +45,7 @@ from fmetric import (
     kannan_check,
     lookup_function,
     min_alpha,
+    min_chain_sums,
     oscillating_orbit_space,
     picard,
     random_fspace,
@@ -48,6 +53,7 @@ from fmetric import (
     rect_b_family,
     verify_D3,
 )
+from test_kernels import certifies_closure
 
 ID = lookup_function("id", "altering")
 LN = lookup_function("ln", "generator")
@@ -112,3 +118,13 @@ def test_d3_passes_at_min_alpha_and_fails_one_float_below():
                 below = Witness(f, float(np.nextafter(alpha, 0.0)))
                 assert not verify_D3(space, below).passed, (space.labels, f.name, alpha)
     assert 0.0 in alphas and max(alphas) > 0.0  # both sides of the rule are exercised
+
+
+def test_min_chain_sums_passes_the_closure_certificate_on_every_drawn_table():
+    spaces = _d3_spaces() + [space for space, _ in _random_instances(seed=0, count=600)]
+    lowered = 0
+    for space in spaces:
+        rho = min_chain_sums(space)
+        assert certifies_closure(space.dist, rho), space.labels
+        lowered += int((rho < space.dist).sum())
+    assert len(spaces) == 670 and lowered > 0  # some chain beat its direct distance

@@ -128,6 +128,19 @@ def test_structured_documents_of_every_subcommand(argv, code, capsys, monkeypatc
         assert len(violations) == 400 and list(violations[0]) == ["i", "j", "eps", "lhs", "rhs"]
 
 
+@pytest.mark.parametrize("argv, code", SUBCOMMANDS, ids=[" ".join(a[:4]) for a, _ in SUBCOMMANDS])
+def test_main_writes_the_text_lines_or_the_document_its_command_returns(argv, code, capsys):
+    args = cli.build_parser().parse_args(argv)
+    with np.errstate(all="ignore"):
+        passed, doc, lines = args.fn(args)
+    assert capsys.readouterr().out == ""  # a command prints nothing itself
+    assert passed == (code == 0)
+    assert cli.main(argv) == code
+    assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+    assert cli.main([*argv, "--output", "structured"]) == code
+    assert capsys.readouterr().out == dumps({"command": argv[0], "passed": passed, **doc}) + "\n"
+
+
 def test_structured_verify_with_broken_axioms_and_string_labels(capsys, tmp_path, monkeypatch):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"points": ['a"%', "b\\", "é"],
