@@ -120,12 +120,12 @@ def _resolve_witness(args, file_witness) -> Witness:
     return Witness(f, float(alpha))
 
 
-def _found_lines(found, line) -> list:
-    """The first violations in found, one line(v) each, then a line
-    counting the rest: the listing verify and check print."""
-    lines = [line(v) for v in found.records(_SHOWN_VIOLATIONS)]
-    if len(found) > _SHOWN_VIOLATIONS:
-        lines.append(f"  ... and {len(found) - _SHOWN_VIOLATIONS} more")
+def _violation_lines(violations, line) -> list:
+    """The first violations, one line(v) each, then a line counting the
+    rest: the listing verify and check print."""
+    lines = [line(v) for v in violations.records(_SHOWN_VIOLATIONS)]
+    if len(violations) > _SHOWN_VIOLATIONS:
+        lines.append(f"  ... and {len(violations) - _SHOWN_VIOLATIONS} more")
     return lines
 
 
@@ -147,8 +147,8 @@ def cmd_verify(args) -> tuple:
     for r in reports:
         extra = f" (f={witness.f.name}, alpha={_fmt(witness.alpha)})" if r.axiom == "D3" else ""
         lines.append(f"{r.axiom} {names[r.axiom]}{extra}: {'pass' if r.passed else 'FAIL'}")
-        lines += _found_lines(
-            r.found, lambda v: f"  {_fmt(v['pair'])}: lhs={_fmt(v['lhs'])} rhs={_fmt(v['rhs'])}")
+        lines += _violation_lines(
+            r.violations, lambda v: f"  {_fmt(v['pair'])}: lhs={_fmt(v['lhs'])} rhs={_fmt(v['rhs'])}")
     if not axioms_ok:
         lines.append("D3 chain inequality: skipped (identity or symmetry failed)")
     doc = {"input": ex.id, "f": witness.f.name, "alpha": witness.alpha, "axioms": reports}
@@ -213,7 +213,7 @@ def cmd_check(args) -> tuple:
         f"margin_min: {_fmt(rep.margin_min)}",
         f"passed: {_fmt(rep.passed)}",
     ]
-    lines += _found_lines(rep.found, lambda v: "  " + " ".join(f"{k}={_fmt(val)}" for k, val in v.items()))
+    lines += _violation_lines(rep.violations, lambda v: "  " + " ".join(f"{k}={_fmt(val)}" for k, val in v.items()))
     return rep.passed, {"input": ex.id, **rep.doc()}, lines
 
 

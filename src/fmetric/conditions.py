@@ -12,7 +12,7 @@ the columns, take distances in one call of space.dists, and evaluate phi
 once per array; the orbit checks read the orbit that solver.orbit walked
 and map nothing again. Every check hands its arrays to _report, which
 keeps the failing rows as columns (reports.Violations, 32 bytes per
-failing pair) and builds no violation until one is read. Each
+failing pair) and builds no dict until records() is called. Each
 float operation is the one a pair-by-pair evaluation would make, so
 reports are identical to it bit for bit. A check maps every distinct
 sample point (or walks the orbit) before it measures anything: a failing
@@ -174,11 +174,11 @@ def _report(condition, source, lhs, rhs, bad, labels=(), **columns) -> Condition
     where bad, then lhs and rhs there as floats, are the violations.
     """
     keep = np.flatnonzero(bad)
-    found = Violations(labels, **{name: c[keep] for name, c in columns.items()},
-                       lhs=lhs[keep].astype(float), rhs=rhs[keep].astype(float))
+    violations = Violations(labels, **{name: c[keep] for name, c in columns.items()},
+                            lhs=lhs[keep].astype(float), rhs=rhs[keep].astype(float))
     # fmin skips a NaN (inf - inf) margin and the initial inf covers an empty sample
     margin = float(np.fmin.reduce(rhs - lhs, initial=math.inf))
-    return ConditionReport(condition, keep.size == 0, lhs.size, found, margin, source)
+    return ConditionReport(condition, keep.size == 0, lhs.size, violations, margin, source)
 
 
 def edelstein_check(space, T: Callable, phi: AlteringDistance, sample: PairSample) -> ConditionReport:

@@ -250,7 +250,7 @@ def _reproduce_oscillating() -> list:
     checks.append((
         "global strict shrinking fails (swap pair ties)",
         not ed.passed,
-        f"{len(ed.found)} violation(s) in {ed.checked} pairs",
+        f"{len(ed.violations)} violation(s) in {ed.checked} pairs",
     ))
     return checks
 
@@ -289,7 +289,7 @@ def _reproduce_sequence() -> list:
     checks.append((
         "proximity persistence fails at the binding level",
         not shift.passed,
-        f"{len(shift.found)} violation(s); {shift.source.split('; ')[1]}",
+        f"{len(shift.violations)} violation(s); {shift.source.split('; ')[1]}",
     ))
     return checks
 

@@ -225,7 +225,7 @@ def _require_identity_symmetry(space: FiniteSpace, margin: float):
         return
     for r in check_identity_symmetry(space, margin):
         if not r.passed:
-            first = tuple(r.found.records(1)[0].values())
+            first = tuple(r.violations.records(1)[0].values())
             raise SpaceAxiomError(f"axiom {r.axiom} fails, first violation {first}")
 
 

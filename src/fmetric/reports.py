@@ -2,8 +2,8 @@
 
 Conventions: `passed` is the overall verdict. Verification and condition
 reports keep their violations in check order as columns in one
-Violations, found, which counts them with len, builds them as dicts only
-when read (the report's `violations`) and writes its own JSON for dumps.
+Violations, which counts them with len, builds them as dicts only when
+records() is called and writes its own JSON for dumps.
 Every report's to_dict is _jsonable of its doc(), plain JSON data.
 """
 from __future__ import annotations
@@ -153,7 +153,7 @@ class _Report:
     order, as dumps writes it, and to_dict() is _jsonable of doc()."""
 
     def doc(self) -> dict:
-        return {f.metadata.get("key", f.name): getattr(self, f.name) for f in fields(self)}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_dict(self) -> dict:
         return _jsonable(self.doc())
@@ -170,33 +170,24 @@ class PropertyReport(_Report):
     note: str = ""
 
 
-class _FoundReport(_Report):
-    """Base of the reports that keep their violations in found."""
-
-    @property
-    def violations(self) -> list:
-        """Every violation as a dict, found.records(), built when read."""
-        return self.found.records()
-
-
 @dataclass(frozen=True, eq=False)
-class VerificationReport(_FoundReport):
+class VerificationReport(_Report):
     """Outcome of one distance-axiom check on a finite space.
 
-    found holds the violations in check order as columns: the pair, the
+    violations holds the failures in check order as columns: the pair, the
     observed value lhs and the bound rhs it had to satisfy.
     """
 
     axiom: str
     passed: bool
-    found: Violations = field(default_factory=Violations, metadata={"key": "violations"})
+    violations: Violations = field(default_factory=Violations)
 
 
 @dataclass
-class ConditionReport(_FoundReport):
+class ConditionReport(_Report):
     """Outcome of a contraction-style condition check over a sample.
 
-    found holds the violations as columns: a pair, index, step or i, j
+    violations holds the failures as columns: a pair, index, step or i, j
     and eps column naming each failing item, then lhs and rhs as floats.
     margin_min is the smallest rhs - lhs seen (inf when nothing was
     evaluated, e.g. a vacuous trigger); source records where the sample
@@ -206,7 +197,7 @@ class ConditionReport(_FoundReport):
     condition: str
     passed: bool
     checked: int
-    found: Violations = field(default_factory=Violations, metadata={"key": "violations"})
+    violations: Violations = field(default_factory=Violations)
     margin_min: float = math.inf
     source: str = ""
 

@@ -217,7 +217,7 @@ def test_criterion_5():
                 for j in range(i + 1, size)
                 if math.log(space.dist[i, j]) - math.log(exh[i, j]) > alpha
             ]
-            got = [v["pair"] for v in rep.violations]
+            got = [v["pair"] for v in rep.violations.records()]
             if got != want or rep.passed != (not want):
                 problems.append(f"seed {seed}, alpha {alpha}: violation lists differ")
     _emit(5, "chain-min agreement", problems)

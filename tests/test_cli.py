@@ -397,7 +397,7 @@ def _expected_listing(reports, f_name, alpha) -> str:
     for r in reports:
         extra = f" (f={f_name}, alpha={_fmt(alpha)})" if r.axiom == "D3" else ""
         lines.append(f"{r.axiom} {names[r.axiom]}{extra}: FAIL")
-        viol = r.violations
+        viol = r.violations.records()
         assert len(viol) > 5
         lines += [f"  {_fmt(v['pair'])}: lhs={_fmt(v['lhs'])} rhs={_fmt(v['rhs'])}" for v in viol[:5]]
         lines.append(f"  ... and {len(viol) - 5} more")
@@ -878,12 +878,12 @@ def _closed_after_one_byte(*argv):
     stderr once the reader has closed stdout after reading that byte."""
     src = str(Path(fmetric.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen([sys.executable, "-m", "fmetric.cli", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    first = proc.stdout.read(1)
-    proc.stdout.close()
-    err = proc.stderr.read()
-    return first, proc.wait(timeout=60), err
+    with subprocess.Popen([sys.executable, "-m", "fmetric.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.read(1)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        return first, proc.wait(timeout=60), err
 
 
 def test_a_closed_stdout_exits_141_with_nothing_on_stderr():

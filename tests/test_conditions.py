@@ -216,7 +216,7 @@ def test_edelstein_flags_the_swap_tie():
     rep = edelstein_check(ex.space, ex.map, ID, grid_pairs(ex.space, 100))
     assert not rep.passed
     assert len(rep.violations) == 1
-    v = rep.violations[0]
+    v = rep.violations.records()[0]
     assert v["pair"] == (2.0, -2.0)
     assert v["lhs"] == 4.0 and v["rhs"] == 4.0
 
@@ -246,7 +246,7 @@ def test_kannan_fails_on_the_two_cycle():
     ex = oscillating_orbit_space(depth=5)
     rep = kannan_check(ex.space, ex.map, ID, PairSample(((2.0, -2.0),), "hand"))
     assert not rep.passed
-    v = rep.violations[0]
+    v = rep.violations.records()[0]
     assert v["lhs"] == 4.0 and v["rhs"] == 4.0
 
 
@@ -319,7 +319,7 @@ def test_shift_sequence_violated_at_binding_levels():
     )
     assert not rep.passed
     assert rep.violations
-    assert all(v["eps"] in (0.75, 1.0) for v in rep.violations)
+    assert all(v["eps"] in (0.75, 1.0) for v in rep.violations.records())
     assert rep.checked > 0
 
 
@@ -424,7 +424,7 @@ def test_array_checkers_match_scalar_reference(example, sampler, kannan):
     want = _scalar_pairwise(name, space, T, phi, sample.pairs, sample.source, kannan)
     assert json.dumps(got.to_dict()) == json.dumps(want)
     if example == "oscillating-orbit" and sampler == "all_pairs":
-        assert any(v["lhs"] == v["rhs"] for v in got.violations)  # ties are violations
+        assert any(v["lhs"] == v["rhs"] for v in got.violations.records())  # ties are violations
 
 
 @pytest.mark.parametrize("x0", [2.0 + 1.0 / 3.0, 2.0, -2.0])
@@ -441,7 +441,7 @@ def test_orbital_kannan_matches_scalar_reference(x0):
     )
     assert json.dumps(got.to_dict()) == json.dumps(want)
     if x0 == 2.0:
-        assert got.violations and got.violations[0]["index"] == 0
+        assert got.violations and got.violations.records()[0]["index"] == 0
 
 
 def test_pairwise_checks_map_each_distinct_point_once_in_pair_order():
@@ -470,7 +470,7 @@ def test_orbital_kannan_on_indices_past_int64_matches_scalar_reference():
         "orbital_kannan(id)", ex.space, ex.map, ID, pairs,
         f"orbit(x0=1, pairs={count})", kannan=True, index=list(range(count)),
     )
-    assert got.checked == count and got.violations[0]["index"] == 33
+    assert got.checked == count and got.violations.records()[0]["index"] == 33
     assert json.dumps(got.to_dict()) == json.dumps(want)
 
 

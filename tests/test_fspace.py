@@ -99,9 +99,9 @@ def test_identity_symmetry_reports():
     ])
     d1, d2 = check_identity_symmetry(FiniteSpace(labels=(0, 1, 2), dist=m))
     assert d1.axiom == "D1" and not d1.passed
-    assert {"pair": (2, 2), "lhs": 0.1, "rhs": 0.0} in d1.violations
+    assert {"pair": (2, 2), "lhs": 0.1, "rhs": 0.0} in d1.violations.records()
     assert d2.axiom == "D2" and not d2.passed
-    assert d2.violations[0]["pair"] == (0, 1)
+    assert d2.violations.records()[0]["pair"] == (0, 1)
     # margin loosens both
     d1m, d2m = check_identity_symmetry(FiniteSpace(labels=(0, 1, 2), dist=m), margin=0.6)
     assert d1m.passed and d2m.passed
@@ -140,7 +140,7 @@ def test_verify_D3_agrees_with_exhaustive_slack():
                     slack = math.log(space.dist[i, j]) - math.log(oracle[i, j])
                     if slack > alpha:
                         expected.append((space.labels[i], space.labels[j]))
-            assert [v["pair"] for v in rep.violations] == expected, f"seed {seed} alpha {alpha}"
+            assert [v["pair"] for v in rep.violations.records()] == expected, f"seed {seed} alpha {alpha}"
             assert rep.passed == (not expected)
 
 
@@ -527,7 +527,7 @@ def test_identity_symmetry_matches_loop_reference_in_order(margin):
     d1, d2 = check_identity_symmetry(space, margin=margin)
     id_viol, sym_viol = _loop_identity_symmetry(space, margin)
     assert len(id_viol) > n and sym_viol
-    assert d1.violations == id_viol and d2.violations == sym_viol
+    assert d1.violations.records() == id_viol and d2.violations.records() == sym_viol
     assert not d1.passed and not d2.passed
 
 
@@ -590,9 +590,9 @@ def test_verify_D3_matches_pair_loop_reference(name, margin_share):
     margin = margin_share * min(excess if excess > 0 else 1e-3, closest)
     rep = verify_D3(space, w, margin=margin)
     want = _loop_verify_D3(space, w, margin)
-    assert rep.violations == want
+    assert rep.violations.records() == want
     assert rep.passed == (not want)
-    for got, ref in zip(rep.violations, want):
+    for got, ref in zip(rep.violations.records(), want):
         (lhs, rhs), (lhs_w, rhs_w) = (got["lhs"], got["rhs"]), (ref["lhs"], ref["rhs"])
         assert type(lhs) is float and type(rhs) is float
         assert (lhs, rhs) == (lhs_w, rhs_w)
@@ -634,8 +634,8 @@ def test_negative_diagonal_within_margin_gives_the_zero_diagonal_sums():
     want = min_chain_sums(FiniteSpace(tuple(range(40)), zero), margin)
     off = ~np.eye(40, dtype=bool)
     assert np.array_equal(got[off], want[off])
-    assert verify_D3(FiniteSpace(tuple(range(40)), neg), Witness(LN, 0.0), margin).violations == \
-        verify_D3(FiniteSpace(tuple(range(40)), zero), Witness(LN, 0.0), margin).violations
+    assert verify_D3(FiniteSpace(tuple(range(40)), neg), Witness(LN, 0.0), margin).violations.records() == \
+        verify_D3(FiniteSpace(tuple(range(40)), zero), Witness(LN, 0.0), margin).violations.records()
 
 
 def test_nonnegative_diagonal_reaches_the_closure_uncopied(monkeypatch):

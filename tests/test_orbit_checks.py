@@ -177,7 +177,7 @@ def test_monotone_stops_at_the_first_zero_step():
     got = monotone_step_check(trace, ID)
     _same(got, _loop_monotone(trace, ID))
     assert got.checked == 2
-    assert got.violations == [{"step": 1, "lhs": 2.0, "rhs": 2.0}]
+    assert got.violations.records() == [{"step": 1, "lhs": 2.0, "rhs": 2.0}]
 
 
 def _recording_phi():

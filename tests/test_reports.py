@@ -158,7 +158,7 @@ def _parent_to_dict(report) -> dict:
         "passed": report.passed,
         "violations": [
             {"pair": _jsonable(list(v["pair"])), "lhs": _jsonable(v["lhs"]), "rhs": _jsonable(v["rhs"])}
-            for v in report.violations
+            for v in report.violations.records()
         ],
     }
 
@@ -192,7 +192,7 @@ def test_verification_to_dict_equals_the_per_violation_construction():
     reports = _verification_reports()
     assert [r.axiom for r in reports] == ["D1", "D2", "D3", "D1", "D2", "D3"]
     assert [r.passed for r in reports] == [False, False, False, True, True, False]
-    assert reports[-1].violations == [{"pair": (float("inf"), "b"), "lhs": -1.0, "rhs": float("-inf")}]
+    assert reports[-1].violations.records() == [{"pair": (float("inf"), "b"), "lhs": -1.0, "rhs": float("-inf")}]
     for r in reports:
         got, want = r.to_dict(), _parent_to_dict(r)
         assert got == want
@@ -224,9 +224,10 @@ def test_a_verification_report_writes_the_bytes_of_its_to_dict():
     reports = _written_reports()
     ln_fails, floor_fails, ln_passes = reports[:3]
     # every label is named by some violation
-    assert set(ln_fails.found.columns["pair"].ravel().tolist()) == set(range(len(ESCAPED_LABELS)))
-    assert floor_fails.found.columns["lhs"].dtype.kind == "i" and len(floor_fails.found) and ln_passes.passed
-    assert float("-inf") in reports[-1].found.columns["rhs"]
+    assert set(ln_fails.violations.columns["pair"].ravel().tolist()) == set(range(len(ESCAPED_LABELS)))
+    assert floor_fails.violations.columns["lhs"].dtype.kind == "i" and len(floor_fails.violations) \
+        and ln_passes.passed
+    assert float("-inf") in reports[-1].violations.columns["rhs"]
     for r in reports:
         assert dumps(r) == reference(r.to_dict()) == reference(r)
         assert dumps({"axioms": [r]}) == reference({"axioms": [r.to_dict()]})
@@ -273,15 +274,35 @@ def test_a_condition_report_writes_the_bytes_of_its_to_dict():
                      "edelstein"]
     assert [r.passed for r in reports] == [False] * 6 + [True]
     # every label is named by some violation
-    assert set(reports[0].found.columns["pair"].ravel().tolist()) == set(range(len(PAIR_LABELS)))
-    wild = reports[2].found.columns
+    assert set(reports[0].violations.columns["pair"].ravel().tolist()) == set(range(len(PAIR_LABELS)))
+    wild = reports[2].violations.columns
     assert np.isinf(wild["lhs"]).any() and np.isnan(wild["lhs"]).any() and np.isinf(wild["rhs"]).any()
-    assert max(max(v["pair"]) for v in reports[3].violations) > 2 ** 63
+    assert max(max(v["pair"]) for v in reports[3].violations.records()) > 2 ** 63
     for r in reports:
         assert dumps(r) == reference(r.to_dict()) == reference(r)
         assert dumps({"input": "x", **r.doc()}) == reference({"input": "x", **r.to_dict()})
         assert dumps({"checks": [r]}) == reference({"checks": [r.to_dict()]})
     assert dumps({"checks": reports}) == reference({"checks": reports})
+
+
+def test_a_report_counts_and_writes_its_violations_without_building_records(monkeypatch):
+    from fmetric import (Witness, all_pairs, kannan_check, lookup_function, min_alpha,
+                         oscillating_orbit_space, rect_b_family, verify_D3)
+
+    rect, orbit = rect_b_family(10), oscillating_orbit_space(depth=20)
+    ln = lookup_function("ln", "generator")
+    reports = [verify_D3(rect, Witness(ln, min_alpha(rect, ln) / 2)),
+               kannan_check(orbit.space, orbit.map, orbit.phi, all_pairs(orbit.space))]
+
+    def refuse(self, count=None):
+        raise AssertionError("records() built the violations as dicts")
+
+    monkeypatch.setattr(Violations, "records", refuse)
+    for rep in reports:
+        assert not rep.passed
+        assert isinstance(rep.violations, Violations)
+        assert len(rep.violations) == rep.violations.columns["lhs"].size > 0
+        assert dumps(rep).count('"lhs": ') == len(rep.violations)
 
 
 def test_structured_verify_with_many_violations_reads_back_as_written(capsys):
@@ -309,7 +330,7 @@ def _hand_written_dict(report) -> dict:
             "condition": report.condition,
             "passed": report.passed,
             "checked": report.checked,
-            "violations": _jsonable(report.violations),
+            "violations": _jsonable(report.violations.records()),
             "margin_min": _jsonable(report.margin_min),
             "source": report.source,
         }
