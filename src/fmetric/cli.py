@@ -103,11 +103,15 @@ def _parse_point(text: str, space):
     return val
 
 
+def _function(name, kind, inherited, default):
+    """The function the flag names, else the input's own, else default."""
+    if name is None:
+        return inherited or lookup_function(default, kind)
+    return lookup_function(name, kind)
+
+
 def _generator(args, witness):
-    """--f, else the input witness's generator, else ln."""
-    if args.f is None and witness is not None:
-        return witness.f
-    return lookup_function(args.f or "ln", "generator")
+    return _function(args.f, "generator", witness and witness.f, "ln")
 
 
 def _resolve_witness(args, file_witness) -> Witness:
@@ -184,28 +188,10 @@ def _make_sample(args, space) -> conditions.PairSample:
 
 def cmd_check(args) -> tuple:
     ex = _load_input(args)
-    space, T = ex.space, ex.map
-    if T is None:
+    if ex.map is None:
         raise DomainError(f"{ex.id} carries no map; check needs one")
-    if args.phi is not None:
-        phi = lookup_function(args.phi, "altering")
-    else:
-        phi = ex.phi or lookup_function("id", "altering")
-    if args.condition == "edelstein":
-        rep = conditions.edelstein_check(space, T, phi, _make_sample(args, space))
-    elif args.condition == "kannan":
-        rep = conditions.kannan_check(space, T, phi, _make_sample(args, space))
-    elif args.condition == "orbital-kannan":
-        x0 = _parse_point(args.x0, space)
-        rep = conditions.orbital_kannan_check(space, T, phi, x0, args.count)
-    else:
-        x0 = _parse_point(args.x0, space)
-        rep = conditions.shift_condition_check(
-            space, T, phi, x0,
-            delta_rule=lambda e: args.delta_scale * e,
-            eps_grid=args.eps_grid,
-            horizon=args.horizon,
-        )
+    phi = _function(args.phi, "altering", ex.phi, "id")
+    rep = args.check(args, ex.space, ex.map, phi)  # set by the condition's parser
     lines = [
         f"condition: {rep.condition}",
         f"sample: {rep.source}",
@@ -306,15 +292,21 @@ def build_parser() -> argparse.ArgumentParser:
     pairwise.add_argument("--seed", type=int, help="draw pairs at random; omit for the deterministic grid")
     orbit = argparse.ArgumentParser(add_help=False, parents=[cond])
     orbit.add_argument("--x0", default="0", help="orbit start")
-    for name in ("edelstein", "kannan"):
-        conds.add_parser(name, parents=[pairwise])
-    conds.add_parser("orbital-kannan", parents=[orbit]).add_argument("--count", type=int, default=200)
+    p = conds.add_parser("edelstein", parents=[pairwise])
+    p.set_defaults(leaf=p, check=lambda args, space, T, phi: conditions.edelstein_check(space, T, phi, _make_sample(args, space)))
+    p = conds.add_parser("kannan", parents=[pairwise])
+    p.set_defaults(leaf=p, check=lambda args, space, T, phi: conditions.kannan_check(space, T, phi, _make_sample(args, space)))
+    p = conds.add_parser("orbital-kannan", parents=[orbit])
+    p.add_argument("--count", type=int, default=200)
+    p.set_defaults(leaf=p, check=lambda args, space, T, phi: conditions.orbital_kannan_check(
+        space, T, phi, _parse_point(args.x0, space), args.count))
     p = conds.add_parser("shift", parents=[orbit])
     p.add_argument("--eps-grid", type=_eps_levels, default="0.5,0.1,0.01", help="comma-separated eps levels")
     p.add_argument("--delta-scale", type=float, default=1.0, help="delta = scale * eps")
     p.add_argument("--horizon", type=int, default=50, help="orbit length")
-    for leaf in conds.choices.values():
-        leaf.set_defaults(leaf=leaf)
+    p.set_defaults(leaf=p, check=lambda args, space, T, phi: conditions.shift_condition_check(
+        space, T, phi, _parse_point(args.x0, space), delta_rule=lambda e: args.delta_scale * e,
+        eps_grid=args.eps_grid, horizon=args.horizon))
 
     p = sub.add_parser("reproduce", parents=[common], help="re-derive an example's documented behavior")
     p.add_argument("example_id", choices=corpus.example_ids())

@@ -9,7 +9,10 @@ from types import ModuleType
 import pytest
 
 import fmetric
+from fmetric import conditions, corpus
 from fmetric.cli import main
+from fmetric.fclass import lookup_function
+from fmetric.reports import dumps
 
 
 def run(capsys, *argv):
@@ -494,6 +497,92 @@ def test_min_alpha_takes_its_generator_as_verify_does(capsys, tmp_path):
     for text in ("a,b,c\n0,1,5\n1,0,1\n5,1,0\n", '"a","b","c"\n0,"1",5\n1,0,"1"\n5,1,0\n'):
         no_witness.write_text(text)
         assert run(capsys, "min-alpha", "--input", str(no_witness))[:2] == (0, "0.9162907319\n")
+
+
+_TABLE_CSV = Path(__file__).resolve().parents[1] / "samples" / "table.csv"
+
+
+@pytest.mark.parametrize("command", ["min-alpha", "verify"])
+def test_f_falls_back_to_the_witness_generator_then_ln(capsys, tmp_path, command):
+    # --f, else the input witness's generator, else ln (table.csv has no witness)
+    w = tmp_path / "w.json"
+    w.write_text('{"points": ["a", "b", "c"], "matrix": [[0, 1, 5], [1, 0, 1], [5, 1, 0]],'
+                 ' "witness": {"f": "neg_inv", "alpha": 0.6}}')
+    alpha = ["--alpha", "5"] if command == "verify" else []
+
+    def generator(*argv):
+        code, out, err = run(capsys, command, *argv, *alpha, "--output", "structured")
+        assert (code, err) == (0, "")
+        return json.loads(out)["f"]
+
+    assert generator("--input", str(w), "--f", "ln") == "ln"
+    assert generator("--input", str(w)) == "neg_inv"
+    assert generator("--input", str(_TABLE_CSV), "--f", "neg_inv") == "neg_inv"
+    assert generator("--input", str(_TABLE_CSV)) == "ln"
+
+
+def test_phi_falls_back_to_the_examples_altering_distance_then_id(capsys, tmp_path):
+    # --phi, else the example's altering distance, else id (a file carries none)
+    swap = tmp_path / "swap.json"
+    swap.write_text('{"points": [0, 1], "matrix": [[0, 1], [1, 0]], "map": {"affine": [-1, 1]}}')
+
+    def condition(*source):
+        code, out, err = run(capsys, "check", "kannan", *source, "--pairs", "3")
+        assert err == ""
+        return out.splitlines()[0]
+
+    assert condition("--example", "interval-halving", "--phi", "sqrt") == "condition: kannan(sqrt)"
+    assert condition("--example", "interval-halving") == "condition: kannan(square)"
+    assert condition("--input", str(swap), "--phi", "square") == "condition: kannan(square)"
+    assert condition("--input", str(swap)) == "condition: kannan(id)"
+
+
+def test_an_empty_function_name_is_unknown_for_f_and_phi(capsys):
+    # a given name is looked up, even an empty one: it falls back to nothing
+    assert run(capsys, "min-alpha", "--example", "rect-b", "--f", "") == (
+        2, "", "error: no generator named ''; registered: ['ln', 'neg_inv']\n")
+    assert run(capsys, "check", "kannan", "--example", "interval-halving", "--phi", "") == (
+        2, "", "error: no altering named ''; registered: ['id', 'sqrt', 'square']\n")
+
+
+_SAMPLED_BY = {
+    "--pairs 40": lambda space: conditions.grid_pairs(space, 40),
+    "--pairs 40 --seed 7": lambda space: conditions.random_pairs(space, 40, seed=7),
+    "--all-pairs": conditions.all_pairs,
+}
+
+
+def _direct_check_cases():
+    """check's arguments, the example they build, and the report of the
+    conditions checker called directly with the same arguments."""
+    cases = []
+    for name, check in (("edelstein", conditions.edelstein_check), ("kannan", conditions.kannan_check)):
+        for example, size in (("oscillating-orbit", {"depth": 12}), ("sequence-space", {"N": 30})):
+            for flags, sample in _SAMPLED_BY.items():
+                argv = f"{name} --example {example} " + " ".join(f"--{k} {v}" for k, v in size.items())
+                cases.append(pytest.param(
+                    f"{argv} {flags}", example, size,
+                    lambda ex, check=check, sample=sample: check(ex.space, ex.map, ex.phi, sample(ex.space)),
+                    id=f"{argv} {flags}"))
+    sqrt = lookup_function("sqrt", "altering")
+    argv = "orbital-kannan --example oscillating-orbit --depth 12 --x0 7/3 --count 30 --phi sqrt"
+    cases.append(pytest.param(  # 7/3 is the label 2 + 1/3
+        argv, "oscillating-orbit", {"depth": 12},
+        lambda ex: conditions.orbital_kannan_check(ex.space, ex.map, sqrt, 2 + 1 / 3, 30), id=argv))
+    argv = "shift --example interval-halving --eps-grid 0.5,0.1 --delta-scale 2 --horizon 15"
+    cases.append(pytest.param(  # --x0 defaults to 0
+        argv, "interval-halving", {},
+        lambda ex: conditions.shift_condition_check(
+            ex.space, ex.map, ex.phi, 0.0, delta_rule=lambda e: 2 * e, eps_grid=[0.5, 0.1], horizon=15),
+        id=argv))
+    return cases
+
+
+@pytest.mark.parametrize("argv, example, size, report", _direct_check_cases())
+def test_check_passes_its_flags_to_the_conditions_checker(capsys, argv, example, size, report):
+    r = report(corpus.build_example(example, **size))
+    want = dumps({"command": "check", "passed": r.passed, "input": example, **r.doc()}) + "\n"
+    assert run(capsys, "check", *argv.split(), "--output", "structured") == (0 if r.passed else 1, want, "")
 
 
 def _readme_examples():
