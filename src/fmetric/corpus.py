@@ -42,8 +42,12 @@ def rect_b_family(n: int) -> FiniteSpace:
     """
     if n < 2:
         raise ValueError("family parameter must be >= 2")
+    try:
+        cheap = 3.0 / (n * n)
+    except OverflowError:
+        raise ValueError("family parameter n is too large: n^2 is beyond the float range") from None
     labels = (1, 20, 25, 30) + tuple(f"g{k}" for k in range(1, 9))
-    m = np.full((12, 12), 3.0 / (n * n))
+    m = np.full((12, 12), cheap)
     np.fill_diagonal(m, 0.0)
     m[:4, :4] = [[0, 15, 1, 2], [15, 0, 1, 2], [1, 1, 0, 2], [2, 2, 2, 0]]
     return FiniteSpace(labels=labels, dist=m)
@@ -136,14 +140,14 @@ def sequence_space(N: int = 1000) -> NamedExample:
 def rect_b_example(n: int = 10) -> NamedExample:
     space = rect_b_family(n)
     ln = lookup_function("ln", "generator")
-    # The witness carries the computed minimum rather than the closed form
-    # ln(15 n^2 / 6); the two can differ by an ulp and the computed value
-    # is the one the chain axiom is tight against.
+    # The tight pair is (1, 20): its best chain 1 -> g -> 20 adds two links
+    # of fl(3/n^2) exactly, and rounding is monotone, so no slack is larger.
+    # min_alpha computes this slack bit for bit; ln(15 n^2 / 6) rounds
+    # differently and misses it by an ulp at some n.
     return NamedExample(
         id="rect-b",
         space=space,
-        phi=None,
-        witness=Witness(ln, min_alpha(space, ln)),
+        witness=Witness(ln, ln.eval(space.d(1, 20)) - ln.eval(2 * space.d(1, "g1"))),
     )
 
 
@@ -308,14 +312,15 @@ def _reproduce_rect_b() -> list:
     checks.append(("alpha strictly increases with n", increasing, ""))
     span = profile[-1][1] - profile[0][1]
     checks.append(("alpha spans more than 5 across the family", span > 5.0, f"span = {span:.6g}"))
-    sp10 = rect_b_family(10)
+    ex10 = rect_b_example(10)
+    sp10 = ex10.space
     d_cheap = sp10.d(1, "g1")
     checks.append((
         "generic links cost 3/n^2",
         d_cheap == 0.03 and sp10.d(1, 20) == 15.0,
         f"d(1, g1) = {d_cheap!r}",
     ))
-    a10 = dict(profile)[10]
+    a10 = ex10.witness.alpha
     ok_at = verify_D3(sp10, Witness(ln, a10)).passed
     fail_below = not verify_D3(sp10, Witness(ln, a10 - 0.01)).passed
     checks.append((

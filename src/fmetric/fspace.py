@@ -161,7 +161,10 @@ class AnalyticSpace:
     def points(self) -> tuple:
         if self.enumerator is None:
             raise DomainError("this space has no finite enumeration")
-        return tuple(self.enumerator())
+        try:
+            return tuple(self.enumerator())
+        except OverflowError:  # more points than a tuple can index, as range(1, 2**63 + 1)
+            raise DomainError("carrier too large to enumerate") from None
 
     def contains(self, x) -> bool:
         if self.membership is None:

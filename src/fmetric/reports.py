@@ -4,7 +4,7 @@ Conventions: `passed` is the overall verdict. Verification and condition
 reports keep their violations in check order as columns in one
 Violations, which counts them with len, builds them as dicts only when
 records() is called and writes its own JSON for dumps.
-Every report's to_dict is _jsonable of its doc(), plain JSON data.
+A report's plain JSON data is _jsonable of its doc().
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 
 def _jsonable(value):
     if isinstance(value, _Report):
-        return value.to_dict()
+        return _jsonable(value.doc())
     if isinstance(value, Violations):
         return _jsonable(value.records())
     if isinstance(value, (list, tuple)):
@@ -150,13 +150,10 @@ def _values(column: np.ndarray, nl: str) -> list:
 
 class _Report:
     """Base of the reports: doc() holds each dataclass field in declaration
-    order, as dumps writes it, and to_dict() is _jsonable of doc()."""
+    order, as dumps writes it."""
 
     def doc(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def to_dict(self) -> dict:
-        return _jsonable(self.doc())
 
 
 @dataclass

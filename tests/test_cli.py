@@ -384,6 +384,58 @@ def test_verify_checks_identity_symmetry_once(capsys, monkeypatch, margin):
     assert calls == [float(margin)]
 
 
+@pytest.mark.parametrize("argv, code, want", [
+    (["verify", "--example", "rect-b"], 0, {"minplus_closure": 1, "check_identity_symmetry": 1}),
+    (["min-alpha", "--example", "rect-b"], 0,
+     {"min_alpha": 1, "minplus_closure": 1, "check_identity_symmetry": 1}),
+    (["solve", "--example", "rect-b", "--x0", "1"], 2, {}),
+    (["check", "kannan", "--example", "rect-b"], 2, {}),
+], ids=["verify", "min-alpha", "solve", "check-kannan"])
+def test_each_layer_runs_once_on_rect_b(capsys, monkeypatch, argv, code, want):
+    # rect-b's witness is a closed form, so building the example runs no layer
+    from collections import Counter
+
+    from fmetric import cli, fspace
+
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for module, name in [(fspace, "minplus_closure"), (fspace, "check_identity_symmetry"),
+                         (cli, "check_identity_symmetry"), (fspace, "min_alpha"),
+                         (cli, "min_alpha"), (corpus, "min_alpha")]:
+        count(module, name)
+    assert run(capsys, *argv)[0] == code
+    assert calls == Counter(want)
+
+
+BIG_N, BIG_N_ERROR = str(10 ** 155), "family parameter n is too large: n^2 is beyond the float range"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # 3.0 / (n * n) ended in an OverflowError traceback with exit 1
+    (["verify", "--example", "rect-b", "--n", BIG_N], BIG_N_ERROR),
+    (["min-alpha", "--example", "rect-b", "--n", BIG_N], BIG_N_ERROR),
+    (["solve", "--example", "rect-b", "--n", BIG_N, "--x0", "1"], BIG_N_ERROR),
+    (["check", "kannan", "--example", "rect-b", "--n", BIG_N], BIG_N_ERROR),
+    (["profile-alpha", "--from", BIG_N, "--to", BIG_N], BIG_N_ERROR),
+    # so did tuple(range(1, N + 1)), whose length overflows before anything is allocated
+    (["verify", "--example", "sequence-space", "--N", str(2 ** 63), "--alpha", "0"],
+     "carrier too large to enumerate"),
+    (["check", "kannan", "--example", "sequence-space", "--N", str(2 ** 63)], "carrier too large to enumerate"),
+], ids=["rect-b-verify", "rect-b-min-alpha", "rect-b-solve", "rect-b-check-kannan", "profile-alpha",
+        "sequence-space-verify", "sequence-space-check-kannan"])
+def test_a_size_past_what_its_numbers_hold_exit_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_verify_integer_too_large_for_a_float_exit_2(capsys, tmp_path):
     p = tmp_path / "big.json"
     p.write_text('{"points": [0, 1], "matrix": [[0, %d], [1, 0]]}' % 10 ** 400)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -10,6 +8,7 @@ from fmetric import (
     example_ids,
     interval_halving,
     lookup_function,
+    min_alpha,
     orbit,
     oscillating_orbit_space,
     random_fspace,
@@ -171,9 +170,10 @@ def test_random_fspace_needs_two_points():
 
 
 def test_rect_b_expected_alpha_documents_closed_form():
-    # ln(15 n^2 / 6) at n = 10
-    ex = build_example("rect-b", n=10)
-    assert abs(ex.witness.alpha - math.log(250.0)) < 1e-9
+    # the example's witness ln 15 - ln(2 fl(3/n^2)) is min_alpha bit for bit
+    for n in range(2, 3001):
+        got = build_example("rect-b", n=n).witness.alpha
+        assert got.hex() == min_alpha(rect_b_family(n), LN).hex(), n
 
 
 @pytest.mark.parametrize("example_id", ["interval-halving", "oscillating-orbit", "sequence-space", "rect-b"])

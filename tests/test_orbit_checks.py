@@ -27,7 +27,7 @@ from fmetric import (
     shift_condition_check,
 )
 from fmetric.fspace import distance_table
-from fmetric.reports import _jsonable
+from fmetric.reports import _jsonable, dumps
 
 ID = lookup_function("id", "altering")
 PHIS = registered_altering()
@@ -35,7 +35,7 @@ PHIS = registered_altering()
 
 def _loop_shift(space, T, phi, x0, delta_rule, eps_grid, horizon):
     """Reference: phi of each orbit pair on first use, a double loop per
-    eps; the dict the report's to_dict() must equal."""
+    eps; the plain data the report must write."""
     tr = orbit(space, T, x0, horizon + 1)
     memo = {}
 
@@ -71,7 +71,7 @@ def _loop_shift(space, T, phi, x0, delta_rule, eps_grid, horizon):
 
 def _loop_monotone(trace, phi):
     """Reference: phi(s[k+1]) < phi(s[k]) step by step, up to the first
-    zero step; the dict the report's to_dict() must equal."""
+    zero step; the plain data the report must write."""
     steps = trace.step_dist
     violations = []
     margin = math.inf
@@ -139,7 +139,7 @@ SPACES = ["interval-halving", "oscillating-orbit", "sequence-space", "rect-b", "
 
 
 def _same(got, want):
-    assert json.dumps(got.to_dict()) == json.dumps(want)
+    assert dumps(got) == json.dumps(want, indent=2)
 
 
 @pytest.mark.parametrize("phi", PHIS, ids=[p.name for p in PHIS])
