@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,27 +49,23 @@ class PairSample:
     order of first appearance over x0, y0, x1, y1, ..., and pair k is
     (points[first[k]], points[second[k]]), 16 bytes per pair. The
     samplers emit these codes; PairSample(pairs, source) codes hand-made
-    pairs the same way, and .pairs builds the tuples only when read.
+    pairs the same way, and .pairs builds the tuples on each read.
     """
 
     def __init__(self, pairs, source: str):
         points, codes = _rank(list(itertools.chain.from_iterable(pairs)))
-        self._hold(points, codes[0::2], codes[1::2], source)
+        self.points, self.first, self.second, self.source = points, codes[0::2], codes[1::2], source
 
     @classmethod
     def _coded(cls, points: tuple, first: np.ndarray, second: np.ndarray, source: str) -> PairSample:
         sample = cls.__new__(cls)
-        sample._hold(points, first, second, source)
+        sample.points, sample.first, sample.second, sample.source = points, first, second, source
         return sample
-
-    def _hold(self, points, first, second, source):
-        first.flags.writeable = second.flags.writeable = False  # .pairs is cached from them
-        self.points, self.first, self.second, self.source = points, first, second, source
 
     def __len__(self) -> int:
         return len(self.first)
 
-    @cached_property
+    @property
     def pairs(self) -> tuple:
         at = self.points.__getitem__
         return tuple(zip(map(at, self.first.tolist()), map(at, self.second.tolist())))
@@ -111,11 +107,13 @@ def random_pairs(space, count: int, seed: int) -> PairSample:
 
 def _upper_triangle(pts, count: int, source: str) -> PairSample:
     """The first `count` index pairs i < j of pts in row-major order (the
-    order of itertools.combinations), in O(len(pts) + count) memory."""
-    sizes = np.arange(len(pts) - 1, 0, -1)  # row i pairs i with i+1, ..., n-1
-    sizes = sizes[: np.searchsorted(np.cumsum(sizes), count) + 1]  # the rows the count reaches
-    first = np.repeat(np.arange(sizes.size), sizes)[:count]
+    order of itertools.combinations), in O(count) memory."""
+    # row i pairs i with i+1, ..., n-1; each holds a pair, so the count reaches at most
+    # `count` rows, and sizes capped at the count keep the int64 sums from wrapping
+    sizes = np.minimum(np.arange(len(pts) - 1, max(len(pts) - 1 - count, 0), -1), count)
     starts = np.cumsum(sizes) - sizes  # each row's position in the row-major order
+    # each row's pairs within the count: the last row reached is cut at it
+    first = np.repeat(np.arange(sizes.size), np.clip(count - starts, 0, sizes))
     second = np.arange(first.size) - starts[first] + first + 1
     # row 0 introduces the points in carrier order, so they are a prefix of it
     return PairSample._coded(tuple(pts[: second.max() + 1]), first, second, source)
@@ -143,7 +141,8 @@ def grid_pairs(space, count: int) -> PairSample:
 
 def all_pairs(space) -> PairSample:
     """Every unordered pair of the enumerated carrier."""
-    pts = _carrier(space) or space.points()
+    # the sample holds every point, so copy them first: a carrier past memory fails here, not in numpy
+    pts = tuple(_carrier(space) or space.points())
     return _upper_triangle(pts, len(pts) * (len(pts) - 1) // 2, f"all_pairs({len(pts)} points)")
 
 

@@ -120,8 +120,8 @@ class AnalyticSpace:
     broadcasting like a ufunc: d passes arrays from as_array straight
     to it, and distance tables and the condition checkers call d once
     on whole arrays.
-    enumerate_points, when present, yields a finite truncation used by
-    carrier scans and all-pairs sampling.
+    enumerator, when present, returns a finite truncation as a Sequence,
+    which the samplers count and index; points() returns it uncopied.
     """
 
     point_kind: str
@@ -158,13 +158,14 @@ class AnalyticSpace:
     # as_array leaves points as points, so d itself is the array method
     dists = d
 
-    def points(self) -> tuple:
+    def points(self) -> Sequence:
         if self.enumerator is None:
             raise DomainError("this space has no finite enumeration")
         try:
-            return tuple(self.enumerator())
-        except OverflowError:  # more points than a tuple can index, as range(1, 2**63 + 1)
+            len(pts := self.enumerator())
+        except OverflowError:  # more points than a Sequence can count, as range(1, 2**63 + 1)
             raise DomainError("carrier too large to enumerate") from None
+        return pts
 
     def contains(self, x) -> bool:
         if self.membership is None:

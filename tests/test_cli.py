@@ -348,8 +348,15 @@ def test_materialize_matches_scalar_distances_bitwise():
     pts = space.points()
     want = np.array([[space.d(x, y) for y in pts] for x in pts])
     got = _materialize(space)
-    assert got.labels == pts
+    assert got.labels == tuple(pts)
     assert got.dist.tobytes() == want.tobytes()
+
+
+def test_a_grid_check_on_a_carrier_of_2_62_points_reads_only_its_sample(capsys):
+    # the sample holds 11 points, so no tuple of the carrier is built
+    small = run(capsys, "check", "kannan", "--example", "sequence-space", "--N", "1000", "--pairs", "10")
+    assert small[0] == 0
+    assert run(capsys, "check", "kannan", "--example", "sequence-space", "--N", str(2 ** 62), "--pairs", "10") == small
 
 
 def test_check_orbital_kannan_on_sequence_space_past_int64(capsys):
@@ -426,7 +433,7 @@ BIG_N, BIG_N_ERROR = str(10 ** 155), "family parameter n is too large: n^2 is be
     (["solve", "--example", "rect-b", "--n", BIG_N, "--x0", "1"], BIG_N_ERROR),
     (["check", "kannan", "--example", "rect-b", "--n", BIG_N], BIG_N_ERROR),
     (["profile-alpha", "--from", BIG_N, "--to", BIG_N], BIG_N_ERROR),
-    # so did tuple(range(1, N + 1)), whose length overflows before anything is allocated
+    # so did the carrier range(1, N + 1), whose length overflows before anything is allocated
     (["verify", "--example", "sequence-space", "--N", str(2 ** 63), "--alpha", "0"],
      "carrier too large to enumerate"),
     (["check", "kannan", "--example", "sequence-space", "--N", str(2 ** 63)], "carrier too large to enumerate"),

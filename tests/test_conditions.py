@@ -534,6 +534,25 @@ def test_grid_and_all_pairs_match_double_loop(count):
     got = grid_pairs(interval, count)
     m = int(got.source.split("(")[1].split()[0])
     assert got.pairs == _loop_pairs([float(v) for v in np.linspace(0.0, 1.0, m)], count)
+    # every carrier of 2..40 points, at every count up to `count` and up to 4 past its pairs
+    for n in range(2, 41):
+        line = AnalyticSpace(point_kind="basis_index", dist_rule=lambda a, b: abs(a - b),
+                             enumerator=lambda pts=range(1, n + 1): pts)
+        want = _loop_pairs(line.points())
+        assert all_pairs(line).pairs == want
+        for c in range(1, min(count, len(want) + 4) + 1):
+            assert grid_pairs(line, c).pairs == want[:c]
+
+
+@pytest.mark.parametrize("count", [10, 3000, 10 ** 6])
+def test_samples_of_a_carrier_of_2_62_points_hold_only_their_own_points(count):
+    # no tuple can hold this carrier; at 3000 pairs, row sizes not capped at
+    # the count wrap their int64 sums
+    space = sequence_space(N=2 ** 62).space
+    grid = grid_pairs(space, count)
+    assert len(grid) == count and grid.points == tuple(range(1, count + 2))
+    seeded = random_pairs(space, count, seed=1)
+    assert len(seeded) == count and all(1 <= p <= 2 ** 62 for p in seeded.points)
 
 
 @pytest.mark.parametrize("bounds", [(1.0, 1.0), (2.0, 1.0), (0.0, math.nan)])

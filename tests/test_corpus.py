@@ -33,7 +33,7 @@ def test_build_example_unknown():
 
 def test_build_example_forwards_params():
     assert build_example("rect-b", n=3).space.d(1, "g1") == 3.0 / 9.0
-    assert build_example("sequence-space", N=50).space.points() == tuple(range(1, 51))
+    assert build_example("sequence-space", N=50).space.points() == range(1, 51)
     assert len(build_example("oscillating-orbit", depth=4).space.labels) == 10
 
 
