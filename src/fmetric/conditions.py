@@ -100,8 +100,11 @@ def random_pairs(space, count: int, seed: int) -> PairSample:
         drawn = draw(size=(count - kept, 2))
         rows.append(drawn[drawn[:, 0] != drawn[:, 1]])
         kept += len(rows[-1])
-    keys, codes = _rank(np.concatenate(rows).ravel().tolist())
-    points = keys if pts is None else tuple(map(pts.__getitem__, keys))
+    flat = np.concatenate(rows).ravel()
+    keys, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the distinct draws in order of first appearance
+    codes, keys = np.argsort(order)[inverse], keys[order].tolist()
+    points = tuple(keys) if pts is None else tuple(map(pts.__getitem__, keys))
     return PairSample._coded(points, codes[0::2], codes[1::2], f"random(seed={seed}, count={count})")
 
 

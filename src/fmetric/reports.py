@@ -121,7 +121,7 @@ class Violations:
         for name, c in self.columns.items():
             if name == "pair":
                 lab = [None] * len(self.labels)
-                named = np.zeros(len(self.labels), dtype=bool)  # np.unique would import numpy.ma
+                named = np.zeros(len(self.labels), dtype=bool)  # a plain np.unique(c) imports numpy.ma
                 named[c] = True
                 for k in np.flatnonzero(named).tolist():
                     lab[k] = _encode(_jsonable(self.labels[k]), slot)

@@ -19,10 +19,11 @@ CSV files carry a header row of labels followed by the square matrix,
 one row per line, with no witness or map. Rows holding only blank cells
 are skipped. A text with no quote character has one row per line, and
 its body below the header is parsed in C (numpy's loadtxt); the result
-is taken when it is square, the header's size and finite, and any other
-text, or a body loadtxt refuses, is walked cell by cell, which names the
-first bad row or cell. A quoted cell can span lines or hold commas, so a
-text with a quote is always walked.
+is taken when it is square, the header's size and finite. Any other
+text, or a body loadtxt refuses, is walked with the entry check of JSON
+rows (cells float() refuses stay text), naming the first bad row or entry
+in row-major order, row 0 the first below the header. A quoted cell can
+span lines or hold commas, so a text with a quote is always walked.
 """
 from __future__ import annotations
 
@@ -43,13 +44,6 @@ from .fspace import FiniteSpace, Witness
 _NUMBER_TYPES = frozenset((int, float))
 
 
-def _parse_cell(text: str, where: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise SpaceFormatError(f"{where}: {text!r} is not a number") from None
-
-
 def _to_float(v, what: str) -> float:
     """float(v) of an int or float; an int beyond the float range is an
     input error whose message begins with what."""
@@ -59,16 +53,20 @@ def _to_float(v, what: str) -> float:
         raise SpaceFormatError(f"{what} is an integer too large for a float") from None
 
 
+def _number_or_text(cell: str):
+    """float(cell), or the cell itself where float() refuses it."""
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
 def _parse_label(text: str):
     text = text.strip()
     try:
         return int(text)
     except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+        return _number_or_text(text)
 
 
 def _check_matrix(rows, n_labels: int) -> np.ndarray:
@@ -192,7 +190,7 @@ def _load_json(text: str):
 def _nonblank_rows(reader):
     """The rows of a csv reader that hold a non-blank cell; a row the csv
     module refuses (a field over its size limit) is an input error naming
-    the row, counted as the other messages count rows, the header row 0."""
+    the header row or the matrix row, counted as the other messages count them."""
     i = 0
     try:
         for row in reader:
@@ -200,7 +198,7 @@ def _nonblank_rows(reader):
                 yield row
                 i += 1
     except csv.Error as e:
-        raise SpaceFormatError(f"row {i}: {e}") from None
+        raise SpaceFormatError(f"{f'matrix row {i - 1}' if i else 'header row'}: {e}") from None
 
 
 def _bulk_matrix(body: list, n: int) -> Optional[np.ndarray]:
@@ -230,13 +228,10 @@ def _load_csv(text: str):
         body = list(rows)
         if header is None or not body:
             raise SpaceFormatError("need a header row and at least one matrix row")
-        matrix = []
-        for i, row in enumerate(body, 1):
-            try:
-                matrix.append(list(map(float, row)))
-            except ValueError:
-                for j, c in enumerate(row):
-                    _parse_cell(c, f"row {i}, column {j}")
+        try:
+            matrix = [list(map(float, row)) for row in body]
+        except ValueError:  # a cell float() refuses stays text, for _check_matrix to name
+            matrix = [list(map(_number_or_text, row)) for row in body]
         m = _check_matrix(matrix, len(header))
     return FiniteSpace(labels=tuple(map(_parse_label, header)), dist=m), None, None
 

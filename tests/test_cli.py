@@ -89,7 +89,7 @@ def test_verify_malformed_file_exit_2(capsys, tmp_path):
     p.write_text("a,b\n0,x\n1,0\n")
     code, _, err = run(capsys, "verify", "--input", str(p), "--alpha", "0")
     assert code == 2
-    assert "error:" in err and "row 1" in err
+    assert err == f"error: {p}: matrix entry (0, 1) is 'x', not a number\n"
 
 
 def test_verify_unknown_generator_exit_2(capsys):
@@ -1018,7 +1018,7 @@ def test_a_csv_cell_past_the_csv_field_limit_exit_2(capsys, tmp_path):
     p = tmp_path / "huge-field.csv"
     p.write_text('a,b\n0,"' + "0" * 200_000 + '"\n1,0\n')
     assert run(capsys, "verify", "--input", str(p)) == (
-        2, "", f"error: {p}: row 1: field larger than field limit (131072)\n")
+        2, "", f"error: {p}: matrix row 0: field larger than field limit (131072)\n")
 
 
 def _closed_after_one_byte(*argv):
@@ -1078,13 +1078,15 @@ def test_run_freezes_the_collector_before_it_returns():
 
 
 def test_a_structured_verify_with_violations_does_not_import_numpy_ma():
-    # np.unique imports numpy.ma, which nothing else in a command needs
+    # a plain np.unique call imports numpy.ma, which nothing else in a command needs;
+    # the seeded check ranks its draws with np.unique's return_ flags, which do not
+    runs = [["verify", "--example", "oscillating-orbit", "--depth", "30", "--alpha", "0"],
+            ["check", "kannan", "--example", "interval-halving", "--pairs", "1000", "--seed", "3"]]
     proc = _python("-c", "import contextlib, io, sys; from fmetric import cli\n"
                          "with contextlib.redirect_stdout(io.StringIO()):\n"
-                         "    code = cli.main(['verify', '--example', 'oscillating-orbit', '--depth', '30',"
-                         " '--alpha', '0', '--output', 'structured'])\n"
-                         "print(code, 'numpy.ma' in sys.modules)")
-    assert proc.stdout.decode() == "1 False\n"
+                         f"    codes = [cli.main([*argv, '--output', 'structured']) for argv in {runs!r}]\n"
+                         "print(*codes, 'numpy.ma' in sys.modules)")
+    assert proc.stdout.decode() == "1 0 False\n"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 import json
+import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -123,7 +125,7 @@ def test_csv_bad_cell_names_position(tmp_path):
     text = "a,b\n0,x\n1,0\n"
     with pytest.raises(SpaceFormatError) as e:
         load_space_file(write(tmp_path, "bad.csv", text))
-    assert "row 1" in str(e.value) and "'x'" in str(e.value)
+    assert "matrix entry (0, 1)" in str(e.value) and "'x'" in str(e.value)
 
 
 def test_row_count_mismatch(tmp_path):
@@ -267,6 +269,10 @@ def _csv_error(tmp_path, text: str) -> tuple:
     ("a,b\n0,nan\n1,0\n", "matrix entry (0, 1) is nan; entries must be finite"),
     ("a,b\n0,1\n-inf,0\n", "matrix entry (1, 0) is -inf; entries must be finite"),
     ("a,b\n0,1\n1\n", "matrix row 1 has 1 entries, expected 2"),
+    pytest.param("a,b,c\n0,1,2\n1,0,3\n2, 3 ,\n", "matrix entry (2, 2) is '', not a number", id="empty"),
+    # the first offending row or entry in row-major order: a ragged row before a later bad cell
+    pytest.param("a,b\n0\n1,x\n", "matrix row 0 has 1 entries, expected 2", id="ragged-before-text"),
+    pytest.param("a,b\n0,1e\n1,0\n", "matrix entry (0, 1) is '1e', not a number", id="bare-exponent"),
     # a quoted cell runs to its closing quote, here past every line
     ('a,"b\n0,1\n1,0\n', "need a header row and at least one matrix row"),
 ])
@@ -275,25 +281,43 @@ def test_csv_matrix_errors(tmp_path, text, message):
     assert got == f"{path}: {message}"
 
 
-@pytest.mark.parametrize("text, row", [
-    ('a,b\n0,"' + "1" * 200_000 + '"\n1,0\n', 1),
-    ("a,b\n\n0,1\n1," + "1" * 200_000 + "\n", 2),
-], ids=["quoted", "unquoted"])
-def test_csv_field_over_the_csv_size_limit_names_its_row(tmp_path, text, row):
-    got, path = _csv_error(tmp_path, text)
-    assert got == f"{path}: row {row}: field larger than field limit (131072)"
+# `where` is the cell's place in the file, the header being row 0: the first
+# row under the header is matrix row 0, so file row r holds matrix row r - 1.
+@pytest.mark.parametrize("text, where", [
+    ("a,b\n0,x\n1,0\n", "row 1, column 1: 'x'"),
+])
+def test_csv_bad_cell_location(tmp_path, text, where):
+    row, column, cell = re.fullmatch(r"row (\d+), column (\d+): (.*)", where).groups()
+    message, path = _csv_error(tmp_path, text)
+    assert message == f"{path}: matrix entry ({int(row) - 1}, {column}) is {cell}, not a number"
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, "x"], [1, 0]],
+    [[0, 1, 2], [1, 0, 3], [2, 3, ""]],
+    [[0], [1, "x"]],
+    [[0, math.nan], [1, 0]],
+    [[0, 1], [-math.inf, 0]],
+    [[0, 1]],
+], ids=["text", "empty", "ragged-before-text", "nan", "-inf", "too-few-rows"])
+def test_csv_and_json_name_the_first_bad_row_or_entry_alike(tmp_path, rows):
+    labels = [f"p{k}" for k in range(max(map(len, rows)))]
+    csv_text = "\n".join(",".join(map(str, row)) for row in [labels, *rows]) + "\n"
+    from_csv, csv_path = _csv_error(tmp_path, csv_text)
+    p = write(tmp_path, "m.json", json.dumps({"points": labels, "matrix": rows}))
+    with pytest.raises(SpaceFormatError) as e:
+        load_space_file(p)
+    assert from_csv.removeprefix(f"{csv_path}: ") == str(e.value).removeprefix(f"{p}: ")
 
 
 @pytest.mark.parametrize("text, where", [
-    ("a,b\n0,x\n1,0\n", "row 1, column 1: 'x'"),
-    ("a,b,c\n0,1,2\n1,0,3\n2, 3 ,\n", "row 3, column 2: ''"),
-    # every cell is parsed before the shape is checked
-    ("a,b\n0\n1,x\n", "row 2, column 1: 'x'"),
-    ("a,b\n0,1e\n1,0\n", "row 1, column 1: '1e'"),
-])
-def test_csv_bad_cell_location(tmp_path, text, where):
-    message, path = _csv_error(tmp_path, text)
-    assert message == f"{path}: {where} is not a number"
+    ('a,b\n0,"' + "1" * 200_000 + '"\n1,0\n', "matrix row 0"),
+    ("a,b\n\n0,1\n1," + "1" * 200_000 + "\n", "matrix row 1"),
+    ('a,"' + "b" * 200_000 + '"\n0,1\n1,0\n', "header row"),
+], ids=["quoted", "unquoted", "header"])
+def test_csv_field_over_the_csv_size_limit_names_its_row(tmp_path, text, where):
+    got, path = _csv_error(tmp_path, text)
+    assert got == f"{path}: {where}: field larger than field limit (131072)"
 
 
 def _reference_matrix(rows) -> np.ndarray:
